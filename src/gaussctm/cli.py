@@ -93,8 +93,8 @@ def run_throughput_sweep(cfg, out, seed, dry_run=False):
     rows = []
     for ell in lengths:
         for lam in lams:
-            spec = SegmentSpec.uniform(d, ell, flux, lam, nu)
-            point = stationary_fixed_point(spec, dt=dt, tol=tol)
+            system = SegmentSpec.uniform(d, ell, flux, lam, nu).system()
+            point = stationary_fixed_point(system, dt=dt, tol=tol)
             marg = cell_marginal(point, 1)
             q0 = lambda x: min(lam, p.w * (p.rho_max - x), p.q_max)
             stoch = stationary_metric(q0, marg)
@@ -102,7 +102,7 @@ def run_throughput_sweep(cfg, out, seed, dry_run=False):
             ss = next(streams)
             est = []
             for child in ss.spawn(reps):
-                traj = simulate(spec, np.zeros(d, dtype=int),
+                traj = simulate(system, np.zeros(d, dtype=int),
                                 SimConfig(horizon=warmup + horizon),
                                 rng=np.random.default_rng(child))
                 est.append(estimate_throughput(traj, warmup, warmup + horizon))
@@ -117,11 +117,13 @@ def run_throughput_sweep(cfg, out, seed, dry_run=False):
 
 
 def route_travel_time(d, cell_length, flux, lam, nu, divisor, x_max_s,
-                      points, step):
+                      points, step, point=None):
     """(mean, std) in seconds of the end-to-end travel time, starting
-    from the stationary mean with covariance diag(mean)/divisor."""
+    from the stationary mean with covariance diag(mean)/divisor.  The
+    stationary `point` of the route is solved unless given."""
     spec = SegmentSpec.uniform(d, cell_length, flux, lam, nu)
-    point = stationary_fixed_point(spec)
+    if point is None:
+        point = stationary_fixed_point(spec)
     cov0 = np.diag(point.mu / divisor)
     curve = travel_time_tail(spec, point.mu, i=1, k=d - 1, j=1, t=0.0,
                              grid=default_grid(x_max_s, points),
@@ -152,10 +154,12 @@ def run_route_choice(cfg, out, seed, dry_run=False):
         flux2 = _daganzo(sec, prefix="route2_")
         mu2, sd2 = route_travel_time(d, ell, flux2, lam, nu, divisor2,
                                      x_max, points, step)
+        point1 = stationary_fixed_point(SegmentSpec.uniform(d, ell, flux1,
+                                                            lam, nu))
         for div in divisors1:
             b1 = f"{Fraction(1 / div).limit_denominator(100)}"
             mu1, sd1 = route_travel_time(d, ell, flux1, lam, nu, div,
-                                         x_max, points, step)
+                                         x_max, points, step, point1)
             rows.append(("moments", name, b1, 1, "", mu1, sd1, ""))
             rows.append(("moments", name, b1, 2, "", mu2, sd2, ""))
             routes = [RouteSummary(1, mu1, sd1), RouteSummary(2, mu2, sd2)]
@@ -186,13 +190,9 @@ def control_travel_time(params: TwoClassParams, d, cell_length, lam, b,
     lam_pair = ((1 - b) * lam, b * lam)
     spec = SegmentSpec(d, (cell_length,) * d, flux, lam_pair, nu)
     point = stationary_fixed_point(spec, dt=fp_dt, tol=fp_tol)
-    grid = default_grid(x_max_s, points)
-    out = []
-    for j in (1, 2):
-        curve = travel_time_tail(spec, point.mu, i=1, k=d - 1, j=j, t=0.0,
-                                 grid=grid, step=step)
-        out.append(travel_time_moments(curve))
-    return out
+    curves = travel_time_tail(spec, point.mu, i=1, k=d - 1, j=(1, 2), t=0.0,
+                              grid=default_grid(x_max_s, points), step=step)
+    return [travel_time_moments(c) for c in curves]
 
 
 def run_control_sweep(cfg, out, seed, dry_run=False):

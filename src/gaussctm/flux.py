@@ -260,8 +260,8 @@ class TwoClassFlux(FluxFunction):
         eff = min(total, cap) if supply is None else min(total, cap, supply)
         shares = g / total
         flow = shares * eff
-        # d shares_j / d g_k
-        dshares = (np.eye(2) * total - g[:, None]) / total**2
+        # d shares_j / d g_k (not over total**2, which underflows)
+        dshares = (np.eye(2) - shares[:, None]) / total
         dflow = dshares * eff
         dsupply = np.zeros(2)
         if eff == total and total < cap and (supply is None or total < supply):

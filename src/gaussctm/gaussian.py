@@ -125,9 +125,10 @@ def solve_moments(spec, rho0, M0, V0, horizon, step=1e-3) -> GaussianTimeline:
     times[0], rhos[0], Ms[0], Vs[0], phis[0] = 0.0, rho, M, V, phi
 
     def deriv(r, m, v, p):
+        Q = sys.rates(r)
         J = sys.drift_jacobian(r)
-        B = sys.dispersion(r)
-        return (sys.drift(r), J @ m, J @ v + v @ J.T + B @ B.T, J @ p)
+        B = sys.LH * np.sqrt(Q)[None, :]
+        return (sys.LH @ Q, J @ m, J @ v + v @ J.T + B @ B.T, J @ p)
 
     for k in range(n):
         a1 = deriv(rho, M, V, phi)

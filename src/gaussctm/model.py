@@ -6,6 +6,15 @@ across the boundary), together with the state-dependent rate of each
 transition and its gradient.  Everything downstream (exact simulation,
 fluid/diffusion ODEs, stationary analysis) works off this one object.
 
+The rates are compiled once into an array kernel (index and parameter
+arrays over transitions and junctions), so `rates(rho)` is a few
+`np.minimum` reductions over whole arrays and `rate_jacobian(rho)` fills
+a fixed sparsity pattern from masks marking each rate's active branch.
+At a kink, links and the two-class flux use a slope only when its branch
+is strictly active, as `flux` does; Daganzo's (1995) diverges and merges
+average the slopes of tied candidates, keeping symmetric branches
+symmetric.  The per-boundary `FluxFunction` methods are the reference.
+
 State flattening is cell-major, class-minor: the density of class j in
 cell i sits at index i*m + j.  Network states concatenate the roads in
 declaration order, padding cells being ordinary one-cell roads.
@@ -13,11 +22,11 @@ declaration order, padding cells being ordinary one-cell roads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .flux import DaganzoFlux, FluxFunction
+from .flux import DaganzoFlux, FluxFunction, TwoClassFlux
 
 __all__ = [
     "SegmentSpec",
@@ -39,35 +48,29 @@ __all__ = [
 
 
 class NetworkConfigError(ValueError):
-    """Inconsistent junction wiring or routing parameters."""
+    """Inconsistent junction wiring, routing parameters or road flux."""
 
 
 class RateBlock:
-    """A group of transitions whose rates are computed together.
+    """Transitions that the event-driven simulator refreshes together,
+    with the state entries their rates depend on.  rate_py maps a plain
+    list of densities to the group's rates; without one, the group reads
+    its slice of the array rates."""
 
-    rate_np(rho) returns the rates of the group's transitions; grad_np
-    returns their derivatives with respect to the state entries listed
-    in `depends`.  rate_py is an optional fast scalar path used by the
-    event-driven simulator (operates on a plain list of densities).
-    """
-
-    def __init__(self, srcs, dsts, depends, rate_np, grad_np, labels, rate_py=None):
+    def __init__(self, srcs, dsts, depends, labels, rate_py=None):
         self.srcs = srcs
         self.dsts = dsts
         self.depends = tuple(depends)
-        self.rate_np = rate_np
-        self.grad_np = grad_np
         self.labels = labels
-        self.rate_py = rate_py if rate_py is not None else (
-            lambda rho_list: [float(x) for x in rate_np(np.asarray(rho_list))]
-        )
+        self.rate_py = rate_py
         self.offset = 0  # first transition index, set by TransitionSystem
 
 
 class TransitionSystem:
-    """Cells plus unit-vehicle transitions with state-dependent rates."""
+    """Cells plus unit-vehicle transitions with state-dependent rates,
+    computed by `kernel` (see the module docstring)."""
 
-    def __init__(self, lengths, m, rho_jam, blocks, cell_labels=None):
+    def __init__(self, lengths, m, rho_jam, blocks, kernel, cell_labels=None):
         self.m = m
         self.n_cells = len(lengths)
         self.lengths = np.asarray(lengths, dtype=float)
@@ -78,24 +81,27 @@ class TransitionSystem:
         self.x_jam = np.rint(self.rho_jam * self.state_lengths).astype(int)
         self.blocks = blocks
         self.cell_labels = cell_labels
+        self.kernel = kernel
 
         srcs, dsts, labels = [], [], []
         for b in blocks:
             b.offset = len(srcs)
+            if b.rate_py is None:
+                b.rate_py = (lambda rl, s=b.offset, n=len(b.srcs):
+                             self.rates(np.asarray(rl))[s:s + n])
             srcs.extend(b.srcs)
             dsts.extend(b.dsts)
             labels.extend(b.labels)
         self.n_trans = len(srcs)
-        self.src = np.array([-1 if s is None else s for s in srcs])
-        self.dst = np.array([-1 if d is None else d for d in dsts])
+        self.src = np.array([-1 if s is None else s for s in srcs], dtype=int)
+        self.dst = np.array([-1 if d is None else d for d in dsts], dtype=int)
         self.labels = labels
+        self._jac_index = kernel.rows * self.n_state + kernel.cols
 
         H = np.zeros((self.n_state, self.n_trans))
-        for t in range(self.n_trans):
-            if self.dst[t] >= 0:
-                H[self.dst[t], t] += 1.0
-            if self.src[t] >= 0:
-                H[self.src[t], t] -= 1.0
+        t = np.arange(self.n_trans)
+        H[self.dst[self.dst >= 0], t[self.dst >= 0]] = 1.0
+        H[self.src[self.src >= 0], t[self.src >= 0]] -= 1.0
         self.H = H
         self.L = np.diag(1.0 / self.state_lengths)
         self.LH = H / self.state_lengths[:, None]
@@ -105,9 +111,6 @@ class TransitionSystem:
         for bi, b in enumerate(blocks):
             for s in b.depends:
                 self.state_to_blocks[s].append(bi)
-        self.external = [
-            t for t in range(self.n_trans) if self.src[t] < 0 or self.dst[t] < 0
-        ]
 
     def check_domain(self, rho):
         rho = np.asarray(rho, dtype=float)
@@ -117,20 +120,15 @@ class TransitionSystem:
             raise ValueError("density outside [0, rho_jam]")
 
     def rates(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        q = np.empty(self.n_trans)
-        for b in self.blocks:
-            q[b.offset : b.offset + len(b.srcs)] = b.rate_np(rho)
+        q = self.kernel.rates(np.asarray(rho, dtype=float))
         np.maximum(q, 0.0, out=q)
         return q
 
     def rate_jacobian(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        dq = np.zeros((self.n_trans, self.n_state))
-        for b in self.blocks:
-            g = b.grad_np(rho)
-            dq[b.offset : b.offset + len(b.srcs), list(b.depends)] = g
-        return dq
+        dq = np.bincount(self._jac_index,
+                         weights=self.kernel.jacobian(np.asarray(rho, dtype=float)),
+                         minlength=self.n_trans * self.n_state)
+        return dq.reshape(self.n_trans, self.n_state)
 
     def drift(self, rho):
         return self.LH @ self.rates(rho)
@@ -140,6 +138,177 @@ class TransitionSystem:
 
     def dispersion(self, rho):
         return self.LH * np.sqrt(self.rates(rho))[None, :]
+
+
+# ---------------------------------------------------------------------------
+# array kernels
+
+
+class _DaganzoKernel:
+    """Rates of a single-class Daganzo segment or network from one array
+    of candidate flows.  A candidate (cell, DaganzoParams, sending, cap)
+    is the sending flow min(v_f rho, cap) of an upstream cell or the
+    receiving flow min(w (rho_max - rho), cap) of a downstream one, both
+    min(scale (off + sgn rho), cap), with cap q_max lowered to any
+    external demand or departure bound; None is a +inf candidate.
+    * links (src, dst, params, cap), src or dst None at arrivals and
+      departures: min(sending, receiving), strict slopes;
+    * diverges (upstream, [(branch, p_b), ...]): branch b gets
+      p_b min(D, min_b R_b / p_b), padded to the largest branch count;
+    * merges (a, b, downstream, (p_a, p_b)): if D_a + D_b fit into the
+      supply R each passes its demand, else a gets the median of
+      (D_a, R - D_b, p_a R).
+    Junctions average the slopes of tied candidates."""
+
+    def __init__(self, links, diverges=(), merges=()):
+        K = self.K = 1 + max((len(br) for _, br in diverges), default=0)
+        cands = [c for s, d, p, cap in links for c in (
+            None if s is None else (s, p, True, cap),
+            None if d is None else (d, p, False, cap))]
+        # Jacobian entries (transition, candidate whose cell is the column)
+        ent = [(k // 2, k) for k, c in enumerate(cands) if c is not None]
+        nl, n_link, div, owner, trans_p = len(links), len(ent), [], [], []
+        for i, (up, branches) in enumerate(diverges):
+            pad, c0 = K - 1 - len(branches), len(cands)
+            cands += [up] + [c for c, _ in branches] + [None] * pad
+            div += [1.0] + [p for _, p in branches] + [1.0] * pad
+            for _, p in branches:
+                ent += [(nl + len(owner), c0 + k) for k in range(1 + len(branches))]
+                owner.append(i)
+                trans_p.append(p)
+        self.nd, self.nm = len(owner), len(merges)
+        self.div_sl = slice(2 * nl, len(cands))
+        n_div = len(ent) - n_link
+        # merge rows a, b by their own upstream, the other upstream and
+        # the downstream cell
+        for i, m in enumerate(merges):
+            t, c0 = nl + self.nd + 2 * i, len(cands)
+            ent += [(t, c0), (t, c0 + 1), (t, c0 + 2),
+                    (t + 1, c0 + 1), (t + 1, c0), (t + 1, c0 + 2)]
+            cands += m[:3]
+        table = [(0, 1.0, np.inf, 1.0, np.inf) if c is None else
+                 (c[0], c[1].v_f, 0.0, 1.0, c[3]) if c[2] else
+                 (c[0], c[1].w, c[1].rho_max, -1.0, c[3]) for c in cands]
+        idx, self.scale, self.off, self.sgn, self.cap = np.array(table).reshape(-1, 5).T
+        self.idx, self.slope = idx.astype(int), self.scale * self.sgn
+        ent = np.array(ent, dtype=int).reshape(-1, 2)
+        self.rows, self.cols = ent[:, 0], self.idx[ent[:, 1]]
+        self.link_ent = ent[:n_link, 1]
+        self.div, self.owner, self.trans_p = np.array(div), np.array(owner), np.array(trans_p)
+        div_ent = ent[n_link:n_link + n_div]
+        self.div_ent = div_ent[:, 1] - self.div_sl.start
+        self.ent_p = self.trans_p[div_ent[:, 0] - nl]
+        self.p = np.array([m[3] for m in merges], dtype=float).reshape(-1, 2)
+
+    def _lin(self, rho):
+        return self.scale * (self.off + self.sgn * rho[self.idx])
+
+    def _merge(self, flow):
+        D, R = flow[:, :2], flow[:, 2:]
+        free = D[:, :1] + D[:, 1:] <= R
+        c = (D, R - D[:, ::-1], self.p * R)
+        med = np.maximum(np.minimum(D, c[1]), np.minimum(np.maximum(D, c[1]), c[2]))
+        return free, c, med
+
+    def rates(self, rho):
+        flow = np.minimum(self._lin(rho), self.cap)
+        parts = [flow[:self.div_sl.start].reshape(-1, 2).min(axis=1)]
+        if self.nd:
+            total = (flow[self.div_sl] / self.div).reshape(-1, self.K).min(axis=1)
+            parts.append(self.trans_p * total[self.owner])
+        if self.nm:
+            m = flow[self.div_sl.stop:].reshape(-1, 3)
+            free, _, med = self._merge(m)
+            parts.append(np.where(free, m[:, :2], med).ravel())
+        return np.concatenate(parts)
+
+    def jacobian(self, rho):
+        lin = self._lin(rho)
+        flow = np.minimum(lin, self.cap)
+        slope = np.where(lin < self.cap, self.slope, 0.0)
+        f, s = (x[:self.div_sl.start].reshape(-1, 2) for x in (flow, slope))
+        parts = [np.where(f < f[:, ::-1], s, 0.0).ravel()[self.link_ent]]
+        if self.nd:
+            vals = (flow[self.div_sl] / self.div).reshape(-1, self.K)
+            active = vals == vals.min(axis=1, keepdims=True)
+            avg = (np.where(active, (slope[self.div_sl] / self.div).reshape(-1, self.K), 0.0)
+                   / active.sum(axis=1, keepdims=True))
+            parts.append(self.ent_p * avg.ravel()[self.div_ent])
+        if self.nm:
+            free, c, med = self._merge(flow[self.div_sl.stop:].reshape(-1, 3))
+            s = slope[self.div_sl.stop:].reshape(-1, 3)
+            dD, dR = s[:, :2], s[:, 2:]
+            # active candidates; a free merge passes its own demand
+            a0 = (c[0] == med) | free
+            a1 = (c[1] == med) & ~free
+            a2 = (c[2] == med) & ~free
+            n = a0.astype(float) + a1 + a2
+            out = np.empty(dD.shape + (3,))
+            out[..., 0] = np.where(a0, dD, 0.0) / n
+            out[..., 1] = np.where(a1, -dD[:, ::-1], 0.0) / n
+            out[..., 2] = np.where(a1, dR, 0.0) / n + np.where(a2, self.p * dR, 0.0) / n
+            parts.append(out.ravel())
+        return np.concatenate(parts)
+
+
+class _TwoClassKernel:
+    """`TwoClassFlux` at all d+1 boundaries of a segment.  Boundary b
+    passes the raw occupancy demands g_b (lam * L for the arrivals,
+    rho * L * v_f of cell b-1 otherwise) through min(sum g_b, capacity,
+    supply of cell b), shared in proportion to g_b; departures are
+    further capped at nu per class.  Branch slopes follow
+    `TwoClassFlux._shared`: only a strictly active branch has one."""
+
+    def __init__(self, f: TwoClassFlux, d, lam, nu):
+        self.d, self.L, self.v = d, f.lengths, f.v_free
+        self.g_in = (np.asarray(lam, dtype=float) * f.lengths)[None, :]
+        self.nu = np.asarray(nu, dtype=float)
+        self.cap, self.w_occ, self.N = f.capacity_occ, f.w_occ, f.params.N
+        self.cap_out = np.array([self.cap])  # departures meet no supply
+        self.dlin = -self.w_occ * f.lengths  # slope of the backward wave
+        # entries (b, j, k): flow j of boundary b+1 by density k of its
+        # sending cell b, then flow j of boundary b by density k of its
+        # receiving cell b
+        b, j, k = np.indices((d, 2, 2))
+        self.rows = np.concatenate([(2 * b + 2 + j).ravel(), (2 * b + j).ravel()])
+        self.cols = np.tile((2 * b + k).ravel(), 2)
+
+    def _shared(self, rho):
+        R = rho.reshape(self.d, 2)
+        g = np.concatenate((self.g_in, R * self.L * self.v))
+        lin = self.w_occ * (self.N - R @ self.L)
+        # min(capacity, supply of the receiving cell) per boundary
+        lim = np.concatenate((np.minimum(self.cap, lin), self.cap_out))
+        total = g.sum(axis=1)
+        live = total > 0.0
+        eff = np.where(live, np.minimum(total, lim), 0.0)
+        shares = g / np.where(live, total, 1.0)[:, None]
+        return lin, lim, total, live, eff, shares
+
+    def rates(self, rho):
+        *_, eff, shares = self._shared(rho)
+        q = shares * eff[:, None] / self.L
+        q[-1] = np.minimum(q[-1], self.nu)
+        return q.ravel()
+
+    def jacobian(self, rho):
+        lin, lim, total, live, eff, shares = self._shared(rho)
+        t = np.where(live, total, 1.0)[:, None, None]
+        # d flow_j / d g_k: the shares move, and on the free branch so does eff
+        dflow = (np.eye(2) - shares[:, :, None]) / t * eff[:, None, None]
+        dflow += np.where((live & (total < lim))[:, None, None],
+                          shares[:, :, None], 0.0)
+        send = dflow[1:] * (self.L * self.v) / self.L[:, None]
+        send[-1] *= (shares[-1] * eff[-1] / self.L < self.nu)[:, None]
+        # congested: the backward-wave supply is strictly the binding limit
+        cong = live[:-1] & (lin < np.minimum(self.cap, total[:-1]))
+        recv = np.where(cong[:, None, None],
+                        shares[:-1, :, None] * self.dlin / self.L[:, None], 0.0)
+        return np.concatenate([send.ravel(), recv.ravel()])
+
+
+# ---------------------------------------------------------------------------
+# segments
 
 
 @dataclass(frozen=True)
@@ -179,8 +348,14 @@ class SegmentSpec:
         return build_segment_system(self)
 
 
-def _cell_slice(cell, m):
-    return slice(cell * m, (cell + 1) * m)
+def _daganzo_rate_py(p, b, d, lam0, nu0):
+    """Scalar rate of segment boundary b for the event-driven simulator."""
+    if b == 0:
+        return lambda rl: [min(lam0, p.w * (p.rho_max - rl[0]), p.q_max)]
+    i = b - 1
+    if b == d:
+        return lambda rl: [min(p.v_f * rl[i], p.q_max, nu0)]
+    return lambda rl: [min(p.v_f * rl[i], p.w * (p.rho_max - rl[i + 1]), p.q_max)]
 
 
 def build_segment_system(spec: SegmentSpec) -> TransitionSystem:
@@ -188,60 +363,27 @@ def build_segment_system(spec: SegmentSpec) -> TransitionSystem:
     m, d = f.m, spec.d
     lam = np.asarray(spec.lam, dtype=float)
     nu = np.asarray(spec.nu, dtype=float)
+    daganzo = isinstance(f, DaganzoFlux)
+    if daganzo:
+        p = f.params
+        caps = [min(lam[0], p.q_max)] + [p.q_max] * (d - 1) + [min(nu[0], p.q_max)]
+        kernel = _DaganzoKernel([(b - 1 if b else None, b if b < d else None, p, cap)
+                                 for b, cap in enumerate(caps)])
+    elif isinstance(f, TwoClassFlux):
+        kernel = _TwoClassKernel(f, d, lam, nu)
+    else:
+        raise TypeError(f"no array kernel for {type(f).__name__}")
+
     blocks = []
-
-    def boundary_block(b):
-        if b == 0:
-            srcs = [None] * m
-            dsts = list(range(m))
-            depends = tuple(range(m))
-            rate = lambda rho: f.inflow(lam, rho[_cell_slice(0, m)])
-            grad = lambda rho: f.inflow_grad(lam, rho[_cell_slice(0, m)])
-        elif b == d:
-            srcs = [(d - 1) * m + j for j in range(m)]
-            dsts = [None] * m
-            depends = tuple(srcs)
-            rate = lambda rho: f.outflow(rho[_cell_slice(d - 1, m)], nu)
-            grad = lambda rho: f.outflow_grad(rho[_cell_slice(d - 1, m)], nu)
-        else:
-            srcs = [(b - 1) * m + j for j in range(m)]
-            dsts = [b * m + j for j in range(m)]
-            depends = tuple(srcs) + tuple(dsts)
-            rate = lambda rho: f.flux(rho[_cell_slice(b - 1, m)], rho[_cell_slice(b, m)])
-
-            def grad(rho, b=b):
-                gs, gr = f.flux_grad(rho[_cell_slice(b - 1, m)], rho[_cell_slice(b, m)])
-                return np.hstack([gs, gr])
-
-        labels = [f"q[{b},{j + 1}]" for j in range(m)]
-        rate_py = None
-        if isinstance(f, DaganzoFlux):
-            p = f.params
-            if b == 0:
-                lam0 = float(lam[0])
-                rate_py = lambda rl: [
-                    min(lam0, p.w * (p.rho_max - rl[0]), p.q_max)
-                ]
-            elif b == d:
-                nu0 = float(nu[0])
-                i = d - 1
-                rate_py = lambda rl: [min(p.v_f * rl[i], p.q_max, nu0)]
-            else:
-                i = b - 1
-                rate_py = lambda rl: [
-                    min(
-                        p.v_f * rl[i],
-                        p.w * (p.rho_max - rl[i + 1]),
-                        p.q_max,
-                    )
-                ]
-        return RateBlock(srcs, dsts, depends, rate, grad, labels, rate_py)
-
     for b in range(d + 1):
-        blocks.append(boundary_block(b))
+        srcs = [None] * m if b == 0 else [(b - 1) * m + j for j in range(m)]
+        dsts = [None] * m if b == d else [b * m + j for j in range(m)]
+        rate_py = _daganzo_rate_py(p, b, d, float(lam[0]), float(nu[0])) if daganzo else None
+        blocks.append(RateBlock(srcs, dsts, [s for s in srcs + dsts if s is not None],
+                                [f"q[{b},{j + 1}]" for j in range(m)], rate_py))
 
     rho_jam = np.tile(f.rho_jam, d)
-    return TransitionSystem(spec.lengths, m, rho_jam, blocks)
+    return TransitionSystem(spec.lengths, m, rho_jam, blocks, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +430,9 @@ class NetworkSpec:
         if len(set(names)) != len(names):
             raise NetworkConfigError("duplicate road names")
         for r in self.roads:
-            if r.flux.m != 1:
-                raise NetworkConfigError("network assembly supports one vehicle class")
+            if not isinstance(r.flux, DaganzoFlux):
+                raise NetworkConfigError(f"road {r.name}: network assembly "
+                                         "supports single-class Daganzo roads only")
         known = set(names)
         junction_cells = set()
         for dv in self.diverges:
@@ -299,6 +442,7 @@ class NetworkSpec:
             if abs(sum(probs) - 1.0) > 1e-12 or any(p <= 0 for p in probs):
                 raise NetworkConfigError("diverge routing probabilities must sum to 1")
             junction_cells.add((dv.upstream, "last"))
+            junction_cells.update((b, "first") for b, _ in dv.branches)
         for mg in self.merges:
             prios = [p for _, p in mg.upstreams]
             if mg.downstream not in known or any(u not in known for u, _ in mg.upstreams):
@@ -308,51 +452,20 @@ class NetworkSpec:
             if abs(sum(prios) - 1.0) > 1e-12 or any(p <= 0 for p in prios):
                 raise NetworkConfigError("merge priorities must sum to 1")
             junction_cells.add((mg.downstream, "first"))
-            for u, _ in mg.upstreams:
-                junction_cells.add((u, "last"))
-        for dv in self.diverges:
-            for b, _ in dv.branches:
-                junction_cells.add((b, "first"))
-        for road, _ in self.arrivals:
-            if (road, "first") in junction_cells:
-                raise NetworkConfigError(
-                    f"arrival cell of {road} also participates in a junction"
-                )
-        for road, _ in self.departures:
-            if (road, "last") in junction_cells:
-                raise NetworkConfigError(
-                    f"departure cell of {road} also participates in a junction"
-                )
+            junction_cells.update((u, "last") for u, _ in mg.upstreams)
+        for kind, end, ends in (("arrival", "first", self.arrivals),
+                                ("departure", "last", self.departures)):
+            for road, _ in ends:
+                if (road, end) in junction_cells:
+                    raise NetworkConfigError(
+                        f"{kind} cell of {road} also participates in a junction")
 
     def system(self) -> TransitionSystem:
         return build_network_system(self)
 
 
-def _min_with_ties(values, grads):
-    """Minimum of candidate values; gradient entries are averaged over
-    all candidates attaining the minimum (symmetric tie convention)."""
-    v = min(values)
-    active = [g for val, g in zip(values, grads) if val == v]
-    avg = {}
-    for g in active:
-        for idx, val in g.items():
-            avg[idx] = avg.get(idx, 0.0) + val / len(active)
-    return v, avg
-
-
-def _median_with_ties(values, grads):
-    order = sorted(range(3), key=lambda i: values[i])
-    v = values[order[1]]
-    active = [grads[i] for i in range(3) if values[i] == v]
-    avg = {}
-    for g in active:
-        for idx, val in g.items():
-            avg[idx] = avg.get(idx, 0.0) + val / len(active)
-    return v, avg
-
-
 def build_network_system(net: NetworkSpec) -> TransitionSystem:
-    roads = {r.name: r for r in net.roads}
+    params = {r.name: r.flux.params for r in net.roads}
     lengths, rho_jam, cell_labels = [], [], []
     first, last = {}, {}
     for r in net.roads:
@@ -363,169 +476,62 @@ def build_network_system(net: NetworkSpec) -> TransitionSystem:
             cell_labels.append(f"{r.name}[{i + 1}]")
         last[r.name] = len(lengths) - 1
 
-    blocks = []
+    blocks, links = [], []
 
-    def demand(road, cell):
-        f = roads[road].flux
-        return (
-            lambda rho: float(f.demand(rho[cell : cell + 1])[0]),
-            lambda rho: {cell: float(f.demand_grad(rho[cell : cell + 1])[0, 0])},
-        )
+    def block(srcs, dsts, labels):
+        cells = [c for c in srcs + dsts if c is not None]
+        blocks.append(RateBlock(srcs, dsts, dict.fromkeys(cells), labels))
 
-    def supply(road, cell):
-        f = roads[road].flux
-        assert isinstance(f, DaganzoFlux)
-        return (
-            lambda rho: f.receiving_scalar(rho[cell]),
-            lambda rho: {cell: f.receiving_grad_scalar(rho[cell])},
-        )
+    def link(src, dst, p, label, bound=np.inf):
+        links.append((src, dst, p, min(bound, p.q_max)))
+        block([src], [dst], [label])
 
-    def add_link(f, src, dst, label):
-        def rate(rho):
-            return np.array(
-                [min(f.sending_scalar(rho[src]), f.receiving_scalar(rho[dst]))]
-            )
-
-        def grad(rho):
-            s, r = f.sending_scalar(rho[src]), f.receiving_scalar(rho[dst])
-            gs = f.sending_grad_scalar(rho[src]) if s < r else 0.0
-            gr = f.receiving_grad_scalar(rho[dst]) if r < s else 0.0
-            return np.array([[gs, gr]])
-
-        blocks.append(RateBlock([src], [dst], (src, dst), rate, grad, [label]))
-
-    # intra-road links and explicit road-to-road links
+    # intra-road links and explicit road-to-road links (downstream flux)
     for r in net.roads:
-        assert isinstance(r.flux, DaganzoFlux)
         for i in range(r.n_cells - 1):
             c = first[r.name] + i
-            add_link(r.flux, c, c + 1, f"{r.name}[{i + 1}->{i + 2}]")
+            link(c, c + 1, params[r.name], f"{r.name}[{i + 1}->{i + 2}]")
     for a, b in net.links:
-        add_link(roads[b].flux, last[a], first[b], f"{a}->{b}")
-
+        link(last[a], first[b], params[b], f"{a}->{b}")
     for road, lam in net.arrivals:
-        f = roads[road].flux
-        c = first[road]
-
-        def rate(rho, f=f, c=c, lam=lam):
-            return np.array([min(lam, f.receiving_scalar(rho[c]))])
-
-        def grad(rho, f=f, c=c, lam=lam):
-            r = f.receiving_scalar(rho[c])
-            return np.array([[f.receiving_grad_scalar(rho[c]) if r < lam else 0.0]])
-
-        blocks.append(RateBlock([None], [c], (c,), rate, grad, [f"arrival->{road}"]))
-
+        link(None, first[road], params[road], f"arrival->{road}", lam)
     for road, nu in net.departures:
-        f = roads[road].flux
-        c = last[road]
+        link(last[road], None, params[road], f"{road}->departure", nu)
 
-        def rate(rho, f=f, c=c, nu=nu):
-            return np.array([min(f.sending_scalar(rho[c]), nu)])
+    def cand(road, sending):  # demand of the last cell or supply of the first
+        return (last if sending else first)[road], params[road], sending, params[road].q_max
 
-        def grad(rho, f=f, c=c, nu=nu):
-            s = f.sending_scalar(rho[c])
-            return np.array([[f.sending_grad_scalar(rho[c]) if s < nu else 0.0]])
-
-        blocks.append(RateBlock([c], [None], (c,), rate, grad, [f"{road}->departure"]))
-
+    diverges, merges = [], []
     for dv in net.diverges:
-        u = last[dv.upstream]
-        d_rate, d_grad = demand(dv.upstream, u)
-        branch_cells = [first[b] for b, _ in dv.branches]
-        probs = [p for _, p in dv.branches]
-        sup = [supply(b, c) for (b, _), c in zip(dv.branches, branch_cells)]
-        depends = (u, *branch_cells)
-
-        def total(rho, d_rate=d_rate, d_grad=d_grad, sup=sup, probs=probs):
-            vals = [d_rate(rho)] + [s(rho) / p for (s, _), p in zip(sup, probs)]
-            grads = [d_grad(rho)] + [
-                {k: v / p for k, v in g(rho).items()} for (_, g), p in zip(sup, probs)
-            ]
-            return _min_with_ties(vals, grads)
-
-        def rate(rho, total=total, probs=probs):
-            t, _ = total(rho)
-            return np.array([p * t for p in probs])
-
-        def grad(rho, total=total, probs=probs, depends=depends):
-            _, g = total(rho)
-            out = np.zeros((len(probs), len(depends)))
-            for col, s in enumerate(depends):
-                for row, p in enumerate(probs):
-                    out[row, col] = p * g.get(s, 0.0)
-            return out
-
-        blocks.append(
-            RateBlock(
-                [u] * len(probs),
-                branch_cells,
-                depends,
-                rate,
-                grad,
-                [f"{dv.upstream}->{b}" for b, _ in dv.branches],
-            )
-        )
-
+        diverges.append((cand(dv.upstream, True),
+                         [(cand(b, False), p) for b, p in dv.branches]))
+        block([last[dv.upstream]] * len(dv.branches),
+              [first[b] for b, _ in dv.branches],
+              [f"{dv.upstream}->{b}" for b, _ in dv.branches])
     for mg in net.merges:
         (ra, pa), (rb, pb) = mg.upstreams
-        ca, cb = last[ra], last[rb]
-        cv = first[mg.downstream]
-        da_rate, da_grad = demand(ra, ca)
-        db_rate, db_grad = demand(rb, cb)
-        s_rate, s_grad = supply(mg.downstream, cv)
-        depends = (ca, cb, cv)
+        merges.append((cand(ra, True), cand(rb, True), cand(mg.downstream, False),
+                       (pa, pb)))
+        block([last[ra], last[rb]], [first[mg.downstream]] * 2,
+              [f"{ra}->{mg.downstream}", f"{rb}->{mg.downstream}"])
 
-        def rates_grads(rho):
-            sa, sb, r = da_rate(rho), db_rate(rho), s_rate(rho)
-            ga, gb, gr = da_grad(rho), db_grad(rho), s_grad(rho)
-            if sa + sb <= r:
-                return [(sa, ga), (sb, gb)]
-            out = []
-            for s, gs, s_o, gs_o, p in ((sa, ga, sb, gb, pa), (sb, gb, sa, ga, pb)):
-                vals = [s, r - s_o, p * r]
-                grads = [
-                    gs,
-                    {k: gr.get(k, 0.0) - gs_o.get(k, 0.0) for k in {*gr, *gs_o}},
-                    {k: p * v for k, v in gr.items()},
-                ]
-                out.append(_median_with_ties(vals, grads))
-            return out
-
-        def rate(rho, rates_grads=rates_grads):
-            return np.array([v for v, _ in rates_grads(rho)])
-
-        def grad(rho, rates_grads=rates_grads, depends=depends):
-            rg = rates_grads(rho)
-            out = np.zeros((2, len(depends)))
-            for row, (_, g) in enumerate(rg):
-                for col, s in enumerate(depends):
-                    out[row, col] = g.get(s, 0.0)
-            return out
-
-        blocks.append(
-            RateBlock(
-                [ca, cb],
-                [cv, cv],
-                depends,
-                rate,
-                grad,
-                [f"{ra}->{mg.downstream}", f"{rb}->{mg.downstream}"],
-            )
-        )
-
-    return TransitionSystem(lengths, 1, rho_jam, blocks, cell_labels)
+    return TransitionSystem(lengths, 1, rho_jam, blocks,
+                            _DaganzoKernel(links, diverges, merges), cell_labels)
 
 
 # ---------------------------------------------------------------------------
 # spec-level operations
 
 
-def rate_vector(state, spec: SegmentSpec) -> np.ndarray:
-    """Transition rates q_{b,j}, b = 0..d, lexicographic in (b, j)."""
+def _checked(state, spec):
     sys = spec.system()
     sys.check_domain(state)
-    return sys.rates(state)
+    return sys
+
+
+def rate_vector(state, spec: SegmentSpec) -> np.ndarray:
+    """Transition rates q_{b,j}, b = 0..d, lexicographic in (b, j)."""
+    return _checked(state, spec).rates(state)
 
 
 def incidence_matrices(spec: SegmentSpec):
@@ -536,25 +542,18 @@ def incidence_matrices(spec: SegmentSpec):
 
 
 def drift(state, spec: SegmentSpec) -> np.ndarray:
-    sys = spec.system()
-    sys.check_domain(state)
-    return sys.drift(state)
+    return _checked(state, spec).drift(state)
 
 
 def drift_jacobian(state, spec: SegmentSpec) -> np.ndarray:
-    sys = spec.system()
-    sys.check_domain(state)
-    return sys.drift_jacobian(state)
+    return _checked(state, spec).drift_jacobian(state)
 
 
 def dispersion(state, spec: SegmentSpec) -> np.ndarray:
-    sys = spec.system()
-    sys.check_domain(state)
-    return sys.dispersion(state)
+    return _checked(state, spec).dispersion(state)
 
 
 def network_rate_vector(state, net: NetworkSpec):
     """All transition rates of the assembled network, with labels."""
-    sys = net.system()
-    sys.check_domain(state)
+    sys = _checked(state, net)
     return sys.rates(state), list(sys.labels)

@@ -70,7 +70,8 @@ def stationary_fixed_point(spec, dt=0.001, tol=1e-9,
                            max_iter=2_000_000) -> StationaryPoint:
     """Forward-Euler fixed-point iteration from (0, 0); stops when the
     Euclidean distance between consecutive stacked (mu, V) iterates
-    drops below tol."""
+    drops below tol.  Raises FixedPointError as soon as that distance
+    or V is no longer finite (the iteration has diverged)."""
     sys = _as_system(spec)
     ns = sys.n_state
     LH = sys.LH
@@ -88,6 +89,10 @@ def stationary_fixed_point(spec, dt=0.001, tol=1e-9,
         mu = np.clip(mu + dmu, 0.0, sys.rho_jam)
         V = V + dV
         dist = np.sqrt(np.dot(dmu, dmu) + np.sum(dV * dV))
+        if not (np.isfinite(dist) and np.isfinite(V).all()):
+            raise FixedPointError(
+                f"iteration diverged at step {it} (step distance {dist:.3e})",
+                float(np.abs(F).max()), float(np.abs(Vdot).max()))
         if dist < tol:
             return StationaryPoint(
                 sys, mu, 0.5 * (V + V.T),

@@ -45,18 +45,21 @@ def default_grid(x_max_s, n=1001):
 
 
 def travel_time_tail(spec, state0, i, k, j, t, grid, x0_cov=None,
-                     step=1e-3) -> TailCurve:
+                     step=1e-3):
     """Survival curve of the travel time through cells i..i+k for class
     j, for a vehicle entering at time t with the system started in
     state0 (densities; optional Gaussian covariance x0_cov).
 
-    `grid` holds the lags x in seconds, nonnegative ascending."""
+    `grid` holds the lags x in seconds, nonnegative ascending.  `j` may
+    also be a sequence of classes: one cumulative-moment solve then
+    serves them all, and a list of curves is returned."""
     sys = spec.system() if not hasattr(spec, "rates") else spec
     m = sys.m
     d = sys.n_cells
+    classes = [j] if np.isscalar(j) else list(j)
     if not (1 <= i and i + k <= d):
         raise ValueError("cell span out of range")
-    if not 1 <= j <= m:
+    if not all(1 <= c <= m for c in classes):
         raise ValueError("class index out of range")
     grid = np.asarray(grid, dtype=float)
     if np.any(grid < 0) or np.any(np.diff(grid) <= 0):
@@ -76,6 +79,13 @@ def travel_time_tail(spec, state0, i, k, j, t, grid, x0_cov=None,
     cum = solve_cumulative_moments(sys, rho_t, solve_grid, x0_cov=cov_t,
                                    step=step, x0_feedback=False)
 
+    curves = [_tail_curve(cum, m, i, k, jc, t, grid, offset) for jc in classes]
+    return curves[0] if np.isscalar(j) else curves
+
+
+def _tail_curve(cum, m, i, k, j, t, grid, offset):
+    """P(T > x) for class j from the cumulative moments, whose grid has
+    `offset` extra leading points."""
     ns, K = cum.n, cum.K
     w = np.zeros(ns + K)
     for c in range(i, i + k + 1):  # vehicles initially ahead, cells i..i+k

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -6,6 +8,7 @@ from gaussctm.flux import DaganzoFlux, DaganzoParams
 from gaussctm.model import SegmentSpec
 from gaussctm.stationary import (
     DiscreteMarginal,
+    FixedPointError,
     StationaryPoint,
     cell_marginal,
     deterministic_metric,
@@ -55,6 +58,14 @@ class TestFixedPoint:
             SegmentSpec.uniform(2, 22.0 / 108.0, F, 800.0, 1800.0))
         ratio = np.diag(fp1.V) / np.diag(fp2.V)
         np.testing.assert_allclose(ratio, 2.0, rtol=0.1)
+
+    def test_divergent_iteration_fails_fast(self):
+        # dt * v_f / ell = 1.33: forward Euler is unstable and V overflows;
+        # the default max_iter would otherwise spin for minutes
+        t0 = time.perf_counter()
+        with pytest.raises(FixedPointError, match="diverged"):
+            stationary_fixed_point(SegmentSpec.uniform(5, 0.06, F, 1200.0, 1200.0))
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestCellMarginal:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gaussctm.cli import route_travel_time
-from gaussctm.flux import DaganzoFlux, DaganzoParams
+from gaussctm.flux import DaganzoFlux, DaganzoParams, TwoClassFlux, TwoClassParams
 from gaussctm.model import SegmentSpec
 from gaussctm.simulator import SimConfig, simulate
 from gaussctm.traveltime import (
@@ -48,6 +48,18 @@ class TestTail:
         assert np.all(np.diff(curve.values) <= 0)
         assert np.all((curve.values >= 0) & (curve.values <= 1))
         assert curve.values[0] > 0.99  # leaving 3 km takes a while
+
+    def test_class_sequence_shares_one_solve(self):
+        tc = TwoClassFlux(TwoClassParams(v_f1=108.0, v_f2=79.2, v_c=61.2,
+                                         L1=0.0065, L2=0.0165, N=3, beta=0.25))
+        spec = SegmentSpec.uniform(3, 0.5, tc, (900.0, 300.0), (2000.0, 600.0))
+        rho = np.tile([8.0, 3.0], 3)
+        grid = default_grid(300.0, 101)
+        both = travel_time_tail(spec, rho, i=1, k=2, j=(1, 2), t=0.0, grid=grid)
+        for j, curve in zip((1, 2), both):
+            one = travel_time_tail(spec, rho, i=1, k=2, j=j, t=0.0, grid=grid)
+            assert curve.j == j
+            np.testing.assert_array_equal(curve.values, one.values)
 
     def test_free_flow_mean(self):
         spec = self.spec()
