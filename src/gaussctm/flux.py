@@ -260,9 +260,9 @@ class TwoClassFlux(FluxFunction):
         eff = min(total, cap) if supply is None else min(total, cap, supply)
         shares = g / total
         flow = shares * eff
-        # d shares_j / d g_k (not over total**2, which underflows)
-        dshares = (np.eye(2) - shares[:, None]) / total
-        dflow = dshares * eff
+        # d shares_j / d g_k times eff; eff / total <= 1, whereas 1 / total
+        # overflows for a subnormal total
+        dflow = (np.eye(2) - shares[:, None]) * (eff / total)
         dsupply = np.zeros(2)
         if eff == total and total < cap and (supply is None or total < supply):
             deff_dg = np.ones(2)

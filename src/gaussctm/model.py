@@ -293,9 +293,9 @@ class _TwoClassKernel:
 
     def jacobian(self, rho):
         lin, lim, total, live, eff, shares = self._shared(rho)
-        t = np.where(live, total, 1.0)[:, None, None]
+        ratio = eff / np.where(live, total, 1.0)  # <= 1: no overflow
         # d flow_j / d g_k: the shares move, and on the free branch so does eff
-        dflow = (np.eye(2) - shares[:, :, None]) / t * eff[:, None, None]
+        dflow = (np.eye(2) - shares[:, :, None]) * ratio[:, None, None]
         dflow += np.where((live & (total < lim))[:, None, None],
                           shares[:, :, None], 0.0)
         send = dflow[1:] * (self.L * self.v) / self.L[:, None]

@@ -245,6 +245,19 @@ def test_two_class_kinks_match_reference(rho, lam, nu):
     np.testing.assert_array_equal(sys.rate_jacobian(rho), J_ref)
 
 
+@pytest.mark.parametrize("flux", [TC, TC_REAL])
+@pytest.mark.parametrize("rho", [[0.0, 2.22507386e-311], [5e-324, 5e-324]])
+@pytest.mark.parametrize("lam, nu", [((0.0, 0.0), (0.0, 0.0)), ((1.0, 2.0), (5.0, 5.0))])
+def test_two_class_subnormal_state_has_finite_jacobian(flux, rho, lam, nu):
+    # 1 / total overflows for a subnormal total; the free-flow slope is 1
+    spec = SegmentSpec.uniform(1, 0.5, flux, lam, nu)
+    rho = np.array(rho)
+    _, J_ref = segment_reference(spec, rho)
+    J = spec.system().rate_jacobian(rho)
+    assert np.all(np.isfinite(J))
+    np.testing.assert_array_equal(J, J_ref)
+
+
 def example(p12=0.5, fluxes=None):
     f = fluxes or {r: DAG for r in ("r1", "r2", "r3", "r4", "r5", "r6")}
     return example_network(3, 0.5, f, p12, 0.75, 0.75, 0.5, 1800.0, 900.0)
