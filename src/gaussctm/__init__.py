@@ -11,10 +11,11 @@ from .model import (Diverge, Merge, NetworkConfigError, NetworkSpec, RoadSpec,
                     SegmentSpec, TransitionSystem, build_network_system,
                     build_segment_system, drift, drift_jacobian, dispersion,
                     incidence_matrices, network_rate_vector, rate_vector)
-from .simulator import (SimConfig, Trajectory, ensemble_moments,
-                        estimate_throughput, simulate)
+from .simulator import (SimConfig, SimulationError, Trajectory,
+                        ensemble_moments, estimate_throughput, simulate)
 from .gaussian import (CumulativeTimeline, GaussianTimeline, cross_covariance,
-                       solve_cumulative_moments, solve_fluid, solve_moments)
+                       fundamental_solution, solve_cumulative_moments,
+                       solve_fluid, solve_moments)
 from .stationary import (DiscreteMarginal, StationaryPoint, cell_marginal,
                          deterministic_metric, joint_marginal,
                          stationary_fixed_point, stationary_metric)

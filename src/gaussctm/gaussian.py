@@ -5,21 +5,21 @@ Solves, with one shared fixed-step RK4 integrator,
     rho'  = F(rho)                     (fluid / law of large numbers)
     M'    = dF(rho) M                  (mean of the Gaussian deviation)
     V'    = dF V + V dF' + B B'        (covariance, B = dispersion)
-    Phi'  = dF(rho) Phi                (fundamental solution, Phi(0) = I)
 
 plus the cumulative-arrival process Y (one coordinate per transition),
 whose Gaussian moments are propagated on the augmented vector
 z = (X(0), Y) with block dynamics  dY = dQ(rho) L (dX0 + H dY)  and
 independent Poisson noise diag(Q(rho)) on the Y block.  Keeping X(0)
 inside z makes Cov(X(0), Y(t)) available directly, which the
-travel-time tail needs.
+travel-time tail needs.  Nothing across time is stored: cross-time
+covariances and the fundamental solution are computed on demand by one
+forward propagator G' = G A(rho)^T along the solvers' own RK4 steps.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .model import TransitionSystem
+from scipy.linalg.lapack import dpotrf
 
 __all__ = [
     "GaussianTimeline",
@@ -27,24 +27,65 @@ __all__ = [
     "solve_fluid",
     "solve_moments",
     "cross_covariance",
+    "fundamental_solution",
     "solve_cumulative_moments",
 ]
 
 
-def _as_system(spec):
-    if isinstance(spec, TransitionSystem):
-        return spec
-    return spec.system()
+def _psd(C):
+    """Whether C is finite with no eigenvalue below -1e-9 max(trace C, 1),
+    by a LAPACK Cholesky factorization of the shifted matrix."""
+    shifted = C + 1e-9 * max(np.trace(C), 1.0) * np.eye(len(C))
+    L, info = dpotrf(shifted.T, lower=1, clean=0, overwrite_a=1)
+    return info == 0 and bool(np.isfinite(np.trace(L)))
 
 
 def _check_psd(V, what="covariance"):
     V = np.asarray(V, dtype=float)
-    if not np.allclose(V, V.T, atol=1e-12):
-        raise ValueError(f"{what} must be symmetric")
-    w = np.linalg.eigvalsh(V)
-    if w.min() < -1e-9 * max(np.trace(V), 1.0):
-        raise ValueError(f"{what} must be positive semidefinite")
+    if not (np.allclose(V, V.T, atol=1e-12) and _psd(V)):
+        raise ValueError(f"{what} must be symmetric positive semidefinite")
     return V
+
+
+def _rk4(sys, deriv, state, h):
+    """One classical RK4 step of the tuple `state`, whose first entry is
+    rho; rho is then clamped to [0, rho_jam].  Every solver steps
+    through here, so equal inputs give bit-identical densities."""
+    a1 = deriv(*state)
+    a2 = deriv(*(x + 0.5 * h * d for x, d in zip(state, a1)))
+    a3 = deriv(*(x + 0.5 * h * d for x, d in zip(state, a2)))
+    a4 = deriv(*(x + h * d for x, d in zip(state, a3)))
+    state = tuple(x + (h / 6.0) * (d1 + 2 * d2 + 2 * d3 + d4)
+                  for x, d1, d2, d3, d4 in zip(state, a1, a2, a3, a4))
+    np.clip(state[0], 0.0, sys.rho_jam, out=state[0])
+    return state
+
+
+def _step(sys, deriv, state, h, halvings=10):
+    """RK4 step of `state` = (rho, ..., C), C re-symmetrized.  A step that
+    leaves C indefinite (its stages straddle a kink of the rates at a
+    stiff slope) is redone as two half steps, at most `halvings` deep.
+    Returns the new state and the lengths of the substeps taken."""
+    *rest, C = _rk4(sys, deriv, state, h)
+    C = 0.5 * (C + C.T)
+    if _psd(C):
+        return (*rest, C), [h]
+    if not halvings:
+        raise FloatingPointError(f"indefinite covariance at step {h:.3e} h")
+    mid, first = _step(sys, deriv, state, 0.5 * h, halvings - 1)
+    end, second = _step(sys, deriv, mid, 0.5 * h, halvings - 1)
+    return end, first + second
+
+
+def _propagate(timeline, a, b, G, jac):
+    """G at grid point b >= a of G' = G jac(rho)^T from G at grid point a,
+    re-running the timeline's RK4 substeps from rho[a], so that the
+    linearization points are those of its solve."""
+    sys = timeline.system
+    state = (np.array(timeline.rho[a], dtype=float), np.array(G, dtype=float))
+    for h in (h for k in range(a, b) for h in timeline.substeps[k]):
+        state = _rk4(sys, lambda r, g: (sys.drift(r), g @ jac(r).T), state, h)
+    return state[1]
 
 
 class GaussianTimeline:
@@ -52,16 +93,18 @@ class GaussianTimeline:
 
     `rho` is the fluid trajectory, `M` the mean of the linearized
     deviation (so the approximating mean of the density process is
-    rho + M), `V` its covariance, `phi` the fundamental solution."""
+    rho + M), `V` its covariance and `substeps[k]` the RK4 steps taken
+    from grid point k to k + 1."""
 
-    def __init__(self, system, times, rho, M, V, phi, step):
+    def __init__(self, system, times, rho, M, V, step, substeps):
         self.system = system
         self.times = times
         self.rho = rho
         self.M = M
         self.V = V
-        self.phi = phi
+        self.phi = None  # never stored; read only by perfbench/tracer.py
         self.step = step
+        self.substeps = substeps
 
     @property
     def mean(self):
@@ -74,124 +117,114 @@ class GaussianTimeline:
         return k
 
 
-def _grid(horizon, step):
+def _steps(span, step):
+    """The ceil(span / step) equal RK4 steps that cover `span`."""
     if step <= 0:
         raise ValueError("step must be positive")
-    n = max(1, int(np.ceil(horizon / step - 1e-12)))
-    h = horizon / n
-    return n, h
+    n = max(1, int(np.ceil(span / step - 1e-12)))
+    return [span / n] * n
 
 
 def solve_fluid(spec, rho0, horizon, step=1e-3):
     """Fluid trajectory rho' = F(rho) by fixed-step RK4; densities are
     clamped to [0, rho_jam] after each step."""
-    sys = _as_system(spec)
+    sys = spec.system()
     sys.check_domain(rho0)
-    n, h = _grid(horizon, step)
-    rho = np.asarray(rho0, dtype=float).copy()
-    times = np.empty(n + 1)
-    out = np.empty((n + 1, sys.n_state))
-    times[0], out[0] = 0.0, rho
-    F = sys.drift
-    for k in range(n):
-        k1 = F(rho)
-        k2 = F(rho + 0.5 * h * k1)
-        k3 = F(rho + 0.5 * h * k2)
-        k4 = F(rho + h * k3)
-        rho = rho + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        np.clip(rho, 0.0, sys.rho_jam, out=rho)
-        times[k + 1], out[k + 1] = (k + 1) * h, rho
-    return times, out
+    steps = _steps(horizon, step)
+    rho = np.asarray(rho0, dtype=float)
+    out = np.empty((len(steps) + 1, sys.n_state))
+    out[0] = rho
+    for k, h in enumerate(steps):
+        (rho,) = _rk4(sys, lambda r: (sys.drift(r),), (rho,), h)
+        out[k + 1] = rho
+    return np.arange(len(steps) + 1) * steps[0], out
 
 
 def solve_moments(spec, rho0, M0, V0, horizon, step=1e-3) -> GaussianTimeline:
-    """Joint RK4 solve of (rho, M, V, Phi); V is re-symmetrized after
-    every step to suppress round-off drift."""
-    sys = _as_system(spec)
+    """Joint RK4 solve of (rho, M, V); V is re-symmetrized after every
+    step to suppress round-off drift."""
+    sys = spec.system()
     sys.check_domain(rho0)
-    V0 = _check_psd(V0, "initial covariance")
-    n, h = _grid(horizon, step)
-    ns = sys.n_state
-    rho = np.asarray(rho0, dtype=float).copy()
-    M = np.asarray(M0, dtype=float).copy()
-    V = V0.copy()
-    phi = np.eye(ns)
+    V = _check_psd(V0, "initial covariance")
+    rho, M = np.asarray(rho0, dtype=float), np.asarray(M0, dtype=float)
+    steps = _steps(horizon, step)
+    n, h, ns = len(steps), steps[0], sys.n_state
 
-    times = np.empty(n + 1)
     rhos = np.empty((n + 1, ns))
     Ms = np.empty((n + 1, ns))
     Vs = np.empty((n + 1, ns, ns))
-    phis = np.empty((n + 1, ns, ns))
-    times[0], rhos[0], Ms[0], Vs[0], phis[0] = 0.0, rho, M, V, phi
+    rhos[0], Ms[0], Vs[0] = rho, M, V
 
-    def deriv(r, m, v, p):
+    def deriv(r, m, v):
         Q = sys.rates(r)
         J = sys.drift_jacobian(r)
         B = sys.LH * np.sqrt(Q)[None, :]
-        return (sys.LH @ Q, J @ m, J @ v + v @ J.T + B @ B.T, J @ p)
+        return (sys.LH @ Q, J @ m, J @ v + v @ J.T + B @ B.T)
 
+    substeps = []
     for k in range(n):
-        a1 = deriv(rho, M, V, phi)
-        a2 = deriv(*(x + 0.5 * h * d for x, d in zip((rho, M, V, phi), a1)))
-        a3 = deriv(*(x + 0.5 * h * d for x, d in zip((rho, M, V, phi), a2)))
-        a4 = deriv(*(x + h * d for x, d in zip((rho, M, V, phi), a3)))
-        rho, M, V, phi = (
-            x + (h / 6.0) * (d1 + 2 * d2 + 2 * d3 + d4)
-            for x, d1, d2, d3, d4 in zip((rho, M, V, phi), a1, a2, a3, a4)
-        )
-        np.clip(rho, 0.0, sys.rho_jam, out=rho)
-        V = 0.5 * (V + V.T)
-        times[k + 1] = (k + 1) * h
-        rhos[k + 1], Ms[k + 1], Vs[k + 1], phis[k + 1] = rho, M, V, phi
-    return GaussianTimeline(sys, times, rhos, Ms, Vs, phis, h)
+        (rho, M, V), taken = _step(sys, deriv, (rho, M, V), h)
+        substeps.append(taken)
+        rhos[k + 1], Ms[k + 1], Vs[k + 1] = rho, M, V
+    return GaussianTimeline(sys, np.arange(n + 1) * h, rhos, Ms, Vs, h,
+                            substeps)
+
+
+def _forward(timeline: GaussianTimeline, s, t, start):
+    """G(t) of G' = G dF(rho)^T from G(s) = start(index of s), s <= t."""
+    if s > t:
+        raise ValueError("need s <= t")
+    ks, kt = timeline.index_of(s), timeline.index_of(t)
+    return _propagate(timeline, ks, kt, start(ks), timeline.system.drift_jacobian)
 
 
 def cross_covariance(timeline: GaussianTimeline, s, t):
-    """Gamma(s, t) = Cov(rho(s), rho(t)) for grid points s <= t.
+    """Gamma(s, t) = Cov(rho(s), rho(t)) for grid points s <= t, by
+    forward propagation from G(s) = V(s) (no fundamental-solution
+    inversion)."""
+    return _forward(timeline, s, t, lambda k: timeline.V[k])
 
-    Computed by forward propagation of G' = G dF(rho(u))^T from
-    G(s) = V(s) — no fundamental-solution inversion — re-running the
-    same RK4 steps for rho so the linearization points coincide with
-    the original solve."""
-    if s > t:
-        raise ValueError("need s <= t")
-    sys = timeline.system
-    ks, kt = timeline.index_of(s), timeline.index_of(t)
-    h = timeline.step
-    rho = timeline.rho[ks].copy()
-    G = timeline.V[ks].copy()
 
-    def deriv(r, g):
-        return sys.drift(r), g @ sys.drift_jacobian(r).T
+def fundamental_solution(timeline: GaussianTimeline, s, t):
+    """Phi(t, s) for grid points s <= t: the solution of
+    Phi' = dF(rho) Phi with Phi(s, s) = I, propagated on demand."""
+    return _forward(timeline, s, t, lambda k: np.eye(timeline.system.n_state)).T
 
-    for _ in range(kt - ks):
-        a1 = deriv(rho, G)
-        a2 = deriv(rho + 0.5 * h * a1[0], G + 0.5 * h * a1[1])
-        a3 = deriv(rho + 0.5 * h * a2[0], G + 0.5 * h * a2[1])
-        a4 = deriv(rho + h * a3[0], G + h * a3[1])
-        rho = rho + (h / 6.0) * (a1[0] + 2 * a2[0] + 2 * a3[0] + a4[0])
-        G = G + (h / 6.0) * (a1[1] + 2 * a2[1] + 2 * a3[1] + a4[1])
-        np.clip(rho, 0.0, sys.rho_jam, out=rho)
-    return G
+
+def _augmented(sys, x0_feedback):
+    """A(rho) of the linearized augmented dynamics z' = A(rho) z."""
+    ns, K = sys.n_state, sys.n_trans
+
+    def jac(r):
+        dQ = sys.rate_jacobian(r)
+        A = np.zeros((ns + K, ns + K))
+        if x0_feedback:
+            A[ns:, :ns] = dQ * (1.0 / sys.state_lengths)[None, :]
+        A[ns:, ns:] = dQ @ sys.LH
+        return A
+    return jac
 
 
 class CumulativeTimeline:
     """Gaussian moments of z = (X(0), Y) on a declared time grid.
 
     `cov[k]` is the covariance of z at grid point k; the constant X(0)
-    block keeps Cov(X(0), Y(t)) explicit.  `props[k]` is the linearized
-    state-transition matrix over grid interval k, so covariances across
-    grid points follow as Cov(z_a, z_b) = cov[a] (T_{b-1} ... T_a)^T."""
+    block keeps Cov(X(0), Y(t)) explicit.  `rho[k]` is the fluid density
+    at grid point k and `substeps[k]` the RK4 steps taken from there to
+    k + 1, from which `cross` propagates covariances across grid points
+    on demand."""
 
-    def __init__(self, system, times, x0_mean, y_mean, cov, props):
+    def __init__(self, system, times, x0_mean, y_mean, cov, rho, substeps,
+                 x0_feedback):
         self.system = system
         self.times = times
         self.x0_mean = x0_mean  # vehicles per (cell, class)
         self.y_mean = y_mean  # (n_grid, n_trans)
         self.cov = cov  # (n_grid, n+K, n+K)
-        self.props = props
-        self.n = system.n_state
-        self.K = system.n_trans
+        self.rho = rho  # (n_grid, n)
+        self.substeps = substeps
+        self.x0_feedback = x0_feedback
+        self.props = []  # never stored; read only by perfbench/tracer.py
 
     def z_mean(self, k):
         return np.concatenate([self.x0_mean, self.y_mean[k]])
@@ -200,10 +233,8 @@ class CumulativeTimeline:
         """Cov(z(t_a), z(t_b)) for grid indices a <= b."""
         if a > b:
             raise ValueError("need a <= b")
-        G = self.cov[a]
-        for k in range(a, b):
-            G = G @ self.props[k].T
-        return G
+        return _propagate(self, a, b, self.cov[a],
+                          _augmented(self.system, self.x0_feedback))
 
 
 def solve_cumulative_moments(spec, rho0, time_grid, x0_cov=None,
@@ -224,18 +255,17 @@ def solve_cumulative_moments(spec, rho0, time_grid, x0_cov=None,
     only — the convention of the route-comparison studies, where the
     initial covariance models a driver's uncertainty about the queue
     ahead rather than physical dispersion."""
-    sys = _as_system(spec)
+    sys = spec.system()
     sys.check_domain(rho0)
     grid = np.asarray(time_grid, dtype=float)
     if len(grid) < 1 or np.any(np.diff(grid) <= 0):
         raise ValueError("time grid must be strictly increasing")
     ns, K = sys.n_state, sys.n_trans
     ell = sys.state_lengths
-    if x0_cov is None:
-        x0_cov = np.zeros((ns, ns))
-    x0_cov = _check_psd(np.asarray(x0_cov, dtype=float), "initial covariance")
+    x0_cov = _check_psd(np.zeros((ns, ns)) if x0_cov is None else x0_cov,
+                        "initial covariance")
 
-    rho = np.asarray(rho0, dtype=float).copy()
+    rho = np.asarray(rho0, dtype=float)
     ybar = np.zeros(K)
     C = np.zeros((ns + K, ns + K))
     C[:ns, :ns] = (ell[:, None] * x0_cov) * ell[None, :]
@@ -243,39 +273,23 @@ def solve_cumulative_moments(spec, rho0, time_grid, x0_cov=None,
     times = grid - grid[0]
     y_means = np.empty((len(grid), K))
     covs = np.empty((len(grid), ns + K, ns + K))
-    props = []
-    y_means[0], covs[0] = ybar, C
-    LH = sys.LH
-    Ldiag = 1.0 / ell
+    rhos = np.empty((len(grid), ns))
+    y_means[0], covs[0], rhos[0] = ybar, C, rho
+    A_of = _augmented(sys, x0_feedback)
 
-    def deriv(r, y, c, T):
+    def deriv(r, y, c):
         Q = sys.rates(r)
-        dQ = sys.rate_jacobian(r)
-        A = np.zeros((ns + K, ns + K))
-        if x0_feedback:
-            A[ns:, :ns] = dQ * Ldiag[None, :]
-        A[ns:, ns:] = (dQ @ LH)
+        A = A_of(r)
         dC = A @ c + c @ A.T
         dC[ns:, ns:] += np.diag(Q)
-        return LH @ Q, Q, dC, A @ T
+        return sys.LH @ Q, Q, dC
 
+    substeps = []
     for g in range(len(grid) - 1):
-        span = times[g + 1] - times[g]
-        nsub = max(1, int(np.ceil(span / step - 1e-12)))
-        h = span / nsub
-        T = np.eye(ns + K)
-        for _ in range(nsub):
-            a1 = deriv(rho, ybar, C, T)
-            a2 = deriv(*(x + 0.5 * h * d for x, d in zip((rho, ybar, C, T), a1)))
-            a3 = deriv(*(x + 0.5 * h * d for x, d in zip((rho, ybar, C, T), a2)))
-            a4 = deriv(*(x + h * d for x, d in zip((rho, ybar, C, T), a3)))
-            rho, ybar, C, T = (
-                x + (h / 6.0) * (d1 + 2 * d2 + 2 * d3 + d4)
-                for x, d1, d2, d3, d4 in zip((rho, ybar, C, T), a1, a2, a3, a4)
-            )
-            np.clip(rho, 0.0, sys.rho_jam, out=rho)
-            C = 0.5 * (C + C.T)
-        y_means[g + 1], covs[g + 1] = ybar, C
-        props.append(T)
+        substeps.append([])
+        for h in _steps(times[g + 1] - times[g], step):
+            (rho, ybar, C), taken = _step(sys, deriv, (rho, ybar, C), h)
+            substeps[g] += taken
+        y_means[g + 1], covs[g + 1], rhos[g + 1] = ybar, C, rho
     return CumulativeTimeline(sys, times, ell * np.asarray(rho0, dtype=float),
-                              y_means, covs, props)
+                              y_means, covs, rhos, substeps, x0_feedback)

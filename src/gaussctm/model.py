@@ -54,8 +54,8 @@ class NetworkConfigError(ValueError):
 class RateBlock:
     """Transitions that the event-driven simulator refreshes together,
     with the state entries their rates depend on.  rate_py maps a plain
-    list of densities to the group's rates; without one, the group reads
-    its slice of the array rates."""
+    list of densities to the group's rates; without one, the simulator
+    reads the group's slice of the array rates."""
 
     def __init__(self, srcs, dsts, depends, labels, rate_py=None):
         self.srcs = srcs
@@ -86,9 +86,6 @@ class TransitionSystem:
         srcs, dsts, labels = [], [], []
         for b in blocks:
             b.offset = len(srcs)
-            if b.rate_py is None:
-                b.rate_py = (lambda rl, s=b.offset, n=len(b.srcs):
-                             self.rates(np.asarray(rl))[s:s + n])
             srcs.extend(b.srcs)
             dsts.extend(b.dsts)
             labels.extend(b.labels)
@@ -111,6 +108,10 @@ class TransitionSystem:
         for bi, b in enumerate(blocks):
             for s in b.depends:
                 self.state_to_blocks[s].append(bi)
+
+    def system(self):
+        """The system itself: solvers call `spec.system()` on either."""
+        return self
 
     def check_domain(self, rho):
         rho = np.asarray(rho, dtype=float)

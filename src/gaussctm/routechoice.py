@@ -34,10 +34,22 @@ def linear_utility(r: RouteSummary, terms) -> float:
 
 
 def select_route(routes, c: float) -> int:
-    """Route id minimizing mu + c*sigma; ties go to the lowest id."""
+    """Route id minimizing mu + c*sigma; ties go to the lowest id.
+
+    Routes are compared by the utility difference d_mu + c*d_sigma rather
+    than by the two utilities: near a crossing with almost equal spreads c
+    is huge and c*sigma swamps the means, so mu + c*sigma rounds both
+    routes to the same value while the difference stays exact."""
     if not routes:
         raise ValueError("empty route list")
-    return min(routes, key=lambda r: (utility(r, c), r.route_id)).route_id
+    if c < 0:
+        raise ValueError("risk weight must be nonnegative")
+    best = routes[0]
+    for r in routes[1:]:
+        d = (r.mean - best.mean) + c * (r.std - best.std)
+        if d < 0 or (d == 0 and r.route_id < best.route_id):
+            best = r
+    return best.route_id
 
 
 def indifference_c(r1: RouteSummary, r2: RouteSummary):

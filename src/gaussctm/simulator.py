@@ -9,14 +9,12 @@ blocks that depend on the changed cells are recomputed after an event.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TransitionSystem
-
-__all__ = ["SimConfig", "Trajectory", "simulate", "estimate_throughput",
-           "ensemble_moments", "EnsembleMoments"]
+__all__ = ["SimConfig", "Trajectory", "SimulationError", "simulate",
+           "estimate_throughput", "ensemble_moments", "EnsembleMoments"]
 
 _RESUM_EVERY = 4096  # events between full re-summations of the total rate
 
@@ -35,6 +33,10 @@ class SimConfig:
             raise ValueError("need at least one replication")
         if self.warmup < 0:
             raise ValueError("warm-up must be nonnegative")
+
+
+class SimulationError(RuntimeError):
+    """A transition moved a count outside [0, x_jam] (inconsistent rates)."""
 
 
 class Trajectory:
@@ -72,17 +74,9 @@ class Trajectory:
         """Realized cumulative transition counts Y(t) per transition,
         aligned with `times` (Y[0] = 0)."""
         Y = np.zeros((len(self.times), self.system.n_trans), dtype=np.int64)
-        if self.n_events:
-            onehot = np.zeros((self.n_events, self.system.n_trans), dtype=np.int64)
-            onehot[np.arange(self.n_events), self.trans] = 1
-            Y[1:] = np.cumsum(onehot, axis=0)
+        Y[1:] = np.cumsum(np.eye(self.system.n_trans, dtype=np.int64)[self.trans],
+                          axis=0)
         return Y
-
-
-def _as_system(spec):
-    if isinstance(spec, TransitionSystem):
-        return spec
-    return spec.system()
 
 
 def simulate(spec, initial_counts, cfg: SimConfig, rng=None) -> Trajectory:
@@ -92,7 +86,7 @@ def simulate(spec, initial_counts, cfg: SimConfig, rng=None) -> Trajectory:
     generator is supplied it is used as-is; otherwise one is seeded from
     cfg.seed.  Zero total rate absorbs the chain (recorded, not an error).
     """
-    sys = _as_system(spec)
+    sys = spec.system()
     x0 = np.asarray(initial_counts)
     if x0.shape != (sys.n_state,):
         raise ValueError(f"initial counts must have shape ({sys.n_state},)")
@@ -112,32 +106,43 @@ def simulate(spec, initial_counts, cfg: SimConfig, rng=None) -> Trajectory:
     dst = [None if d < 0 else int(d) for d in sys.dst]
     arr_idx = [t for t in range(sys.n_trans) if src[t] is None]
     dep_idx = [t for t in range(sys.n_trans) if dst[t] is None]
-    blocks = sys.blocks
-    t2b = [None] * sys.n_trans  # transition -> owning block
-    for bi, b in enumerate(blocks):
-        for k in range(len(b.srcs)):
-            t2b[b.offset + k] = bi
+    # (first transition, rate_py, end) per block; blocks without rate_py
+    # read their slice of one array rates call per event
+    blocks = [(b.offset, b.rate_py, b.offset + len(b.srcs)) for b in sys.blocks]
+    array_rates = any(f is None for _, f, _ in blocks)
     state_to_blocks = sys.state_to_blocks
 
     q = [0.0] * sys.n_trans
-    for b in blocks:
-        for k, v in enumerate(b.rate_py(rho)):
-            q[b.offset + k] = v if v > 0.0 else 0.0
-    total = sum(q)
-
-    times = [0.0]
-    states = [list(counts)]
-    trans = []
-    arr_rate = [sum(q[i] for i in arr_idx)]
-    dep_rate = [sum(q[i] for i in dep_idx)]
-
+    total = 0.0
+    times, states, trans, arr_rate, dep_rate = [], [], [], [], []
     t = 0.0
     horizon = cfg.horizon
     exp = rng.exponential
     uni = rng.random
     absorbed = False
     n_ev = 0
+    touched = range(sys.n_state)  # at the start, every block is computed
     while True:
+        # refresh only the rate blocks that depend on the changed cells
+        seen = set()
+        qa = sys.rates(np.array(rho)).tolist() if array_rates else None
+        for cell in touched:
+            for bi in state_to_blocks[cell]:
+                if bi in seen:
+                    continue
+                seen.add(bi)
+                o, f, e = blocks[bi]
+                for j, v in enumerate(f(rho) if f else qa[o:e], o):
+                    v = v if v > 0.0 else 0.0
+                    total += v - q[j]
+                    q[j] = v
+        if n_ev % _RESUM_EVERY == 0:
+            total = sum(q)  # squash round-off drift in the running sum
+        times.append(t)
+        states.append(list(counts))
+        arr_rate.append(sum(q[i] for i in arr_idx))
+        dep_rate.append(sum(q[i] for i in dep_idx))
+
         if total <= 1e-13:
             absorbed = True
             break
@@ -153,38 +158,22 @@ def simulate(spec, initial_counts, cfg: SimConfig, rng=None) -> Trajectory:
             if u < acc:
                 k = i
                 break
+        trans.append(k)
         s, d = src[k], dst[k]
         touched = []
         if s is not None:
             counts[s] -= 1
-            assert counts[s] >= 0, "vehicle count went negative"
+            if counts[s] < 0:
+                raise SimulationError(f"{sys.labels[k]}: state {s} below 0")
             rho[s] = counts[s] * inv_len[s]
             touched.append(s)
         if d is not None:
             counts[d] += 1
-            assert counts[d] <= x_jam[d], "vehicle count exceeded jam"
+            if counts[d] > x_jam[d]:
+                raise SimulationError(f"{sys.labels[k]}: state {d} above jam")
             rho[d] = counts[d] * inv_len[d]
             touched.append(d)
-        # refresh only the rate blocks that depend on the changed cells
-        seen = set()
-        for cell in touched:
-            for bi in state_to_blocks[cell]:
-                if bi in seen:
-                    continue
-                seen.add(bi)
-                b = blocks[bi]
-                for j, v in enumerate(b.rate_py(rho)):
-                    v = v if v > 0.0 else 0.0
-                    total += v - q[b.offset + j]
-                    q[b.offset + j] = v
         n_ev += 1
-        if n_ev % _RESUM_EVERY == 0:
-            total = sum(q)  # squash round-off drift in the running sum
-        times.append(t)
-        states.append(list(counts))
-        trans.append(k)
-        arr_rate.append(sum(q[i] for i in arr_idx))
-        dep_rate.append(sum(q[i] for i in dep_idx))
 
     return Trajectory(sys, times, states, trans, arr_rate, dep_rate,
                       horizon, absorbed)
@@ -219,7 +208,7 @@ def ensemble_moments(spec, initial_counts, cfg: SimConfig,
     cfg.seed by replication index)."""
     if cfg.replications < 2:
         raise ValueError("covariance estimation needs at least 2 replications")
-    sys = _as_system(spec)
+    sys = spec.system()
     sample_times = np.asarray(sample_times, dtype=float)
     if np.any(sample_times < 0) or np.any(sample_times > cfg.horizon):
         raise ValueError("sample times must lie within the horizon")

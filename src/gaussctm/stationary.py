@@ -60,19 +60,13 @@ class DiscreteMarginal:
         return float(np.dot(self.support, self.probs))
 
 
-def _as_system(spec):
-    if isinstance(spec, TransitionSystem):
-        return spec
-    return spec.system()
-
-
 def stationary_fixed_point(spec, dt=0.001, tol=1e-9,
                            max_iter=2_000_000) -> StationaryPoint:
     """Forward-Euler fixed-point iteration from (0, 0); stops when the
     Euclidean distance between consecutive stacked (mu, V) iterates
     drops below tol.  Raises FixedPointError as soon as that distance
     or V is no longer finite (the iteration has diverged)."""
-    sys = _as_system(spec)
+    sys = spec.system()
     ns = sys.n_state
     LH = sys.LH
     mu = np.zeros(ns)

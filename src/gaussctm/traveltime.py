@@ -53,7 +53,7 @@ def travel_time_tail(spec, state0, i, k, j, t, grid, x0_cov=None,
     `grid` holds the lags x in seconds, nonnegative ascending.  `j` may
     also be a sequence of classes: one cumulative-moment solve then
     serves them all, and a list of curves is returned."""
-    sys = spec.system() if not hasattr(spec, "rates") else spec
+    sys = spec.system()
     m = sys.m
     d = sys.n_cells
     classes = [j] if np.isscalar(j) else list(j)
@@ -86,7 +86,7 @@ def travel_time_tail(spec, state0, i, k, j, t, grid, x0_cov=None,
 def _tail_curve(cum, m, i, k, j, t, grid, offset):
     """P(T > x) for class j from the cumulative moments, whose grid has
     `offset` extra leading points."""
-    ns, K = cum.n, cum.K
+    ns, K = cum.system.n_state, cum.system.n_trans
     w = np.zeros(ns + K)
     for c in range(i, i + k + 1):  # vehicles initially ahead, cells i..i+k
         w[(c - 1) * m + (j - 1)] = -1.0

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gaussctm.flux import DaganzoFlux, DaganzoParams
+from gaussctm.flux import DaganzoFlux, DaganzoParams, TwoClassFlux, TwoClassParams
 from gaussctm.gaussian import (
     cross_covariance,
+    fundamental_solution,
     solve_cumulative_moments,
     solve_fluid,
     solve_moments,
@@ -80,8 +82,9 @@ class TestSolveMoments:
     def test_ou_fundamental_solution(self):
         tl = solve_moments(ou_spec(), np.array([OU_RHO]), np.zeros(1),
                            np.zeros((1, 1)), horizon=0.05, step=1e-4)
-        np.testing.assert_allclose(tl.phi[:, 0, 0], np.exp(OU_A * tl.times),
-                                   rtol=1e-8)
+        times = tl.times[::20]  # every 20th grid point, the last included
+        phi = [fundamental_solution(tl, 0.0, t)[0, 0] for t in times]
+        np.testing.assert_allclose(phi, np.exp(OU_A * times), rtol=1e-8)
 
     def test_mean_shift_decays_through_linearization(self):
         tl = solve_moments(ou_spec(), np.array([OU_RHO]), np.array([0.5]),
@@ -119,7 +122,31 @@ class TestCrossCovariance:
         with pytest.raises(ValueError):
             cross_covariance(tl, tl.times[10], tl.times[5])
         with pytest.raises(ValueError):
+            fundamental_solution(tl, tl.times[10], tl.times[5])
+        with pytest.raises(ValueError):
             tl.index_of(0.05 + 1.0)
+
+
+class TestFundamentalSolution:
+    def test_ou_from_a_later_start(self):
+        tl = solve_moments(ou_spec(), np.array([OU_RHO]), np.zeros(1),
+                           np.zeros((1, 1)), horizon=0.05, step=1e-4)
+        s = tl.times[100]
+        for k in (100, 250, 500):
+            t = tl.times[k]
+            np.testing.assert_allclose(fundamental_solution(tl, s, t)[0, 0],
+                                       np.exp(OU_A * (t - s)), rtol=1e-8)
+
+    def test_carries_the_covariance_across_time(self):
+        # Gamma(s, t) = V(s) Phi(t, s)^T on a nonlinear instance
+        spec = SegmentSpec.uniform(4, 0.5, F, 1400.0, 1200.0)
+        tl = solve_moments(spec, np.full(4, 20.0), np.zeros(4),
+                           np.diag([1.0, 2.0, 3.0, 4.0]), horizon=0.1)
+        s, t = tl.times[20], tl.times[80]
+        phi = fundamental_solution(tl, s, t)
+        np.testing.assert_allclose(cross_covariance(tl, s, t), tl.V[20] @ phi.T,
+                                   rtol=1e-9, atol=1e-12)
+        np.testing.assert_array_equal(fundamental_solution(tl, t, t), np.eye(4))
 
 
 class TestCumulativeMoments:
@@ -153,6 +180,29 @@ class TestCumulativeMoments:
         with pytest.raises(ValueError):
             ct.cross(2, 1)
 
+    def test_cross_pure_poisson(self):
+        # Y_0 is a Poisson process of rate lam: Cov(Y(s), Y(t)) = lam s
+        p = DaganzoParams(v_f=1e-9, w=1e9, rho_max=1e9, q_max=1e9)
+        spec = SegmentSpec.uniform(1, 1.0, DaganzoFlux(p), 500.0, 0.0)
+        ct = solve_cumulative_moments(spec, np.zeros(1), [0.0, 0.3, 0.7, 1.0],
+                                      step=1e-2)
+        for a, b in ((1, 2), (1, 3), (0, 3), (2, 3)):
+            np.testing.assert_allclose(ct.cross(a, b)[1, 1],
+                                       500.0 * ct.times[a], rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("x0_feedback", [True, False])
+    def test_cross_keeps_the_initial_counts(self, x0_feedback):
+        # X(0) does not move, so Cov(X(0), z(t_b)) read off cross(a, b)
+        # equals the X(0) rows of cov[b], on a congested segment
+        spec = SegmentSpec.uniform(3, 0.5, F, 1400.0, 1200.0)
+        ct = solve_cumulative_moments(spec, np.array([20.0, 40.0, 60.0]),
+                                      [0.0, 0.02, 0.05, 0.1],
+                                      x0_cov=np.diag([4.0, 9.0, 16.0]),
+                                      x0_feedback=x0_feedback)
+        G = ct.cross(1, 3)
+        np.testing.assert_allclose(G[:3], ct.cov[3][:3], rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(G[:, :3], ct.cov[1][:, :3], atol=1e-12)
+
     def test_grid_validation(self):
         spec = SegmentSpec.uniform(2, 1.0, F, 800.0, 1800.0)
         with pytest.raises(ValueError):
@@ -164,3 +214,88 @@ class TestCumulativeMoments:
         spec = SegmentSpec.uniform(3, 1.0, F, 800.0, 1800.0)
         ct = solve_cumulative_moments(spec, np.full(3, 10.0), [0.0, 0.25])
         np.testing.assert_allclose(ct.y_mean[-1], 200.0, rtol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# invariants on random segments
+
+TC = TwoClassFlux(TwoClassParams(v_f1=108.0, v_f2=79.2, v_c=61.2,
+                                 L1=0.0065, L2=0.0165, N=3, beta=0.25))
+INVARIANTS = settings(max_examples=30, deadline=None)
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def segments(draw):
+    """A Daganzo or two-class segment of 1-3 cells and a state inside its
+    domain (for two classes, total occupancy at most the lane count)."""
+    d = draw(st.integers(1, 3))
+    ell = draw(st.floats(0.1, 1.0))
+    if draw(st.booleans()):
+        lam, nu = draw(st.floats(0.0, 2500.0)), draw(st.floats(0.0, 2500.0))
+        spec = SegmentSpec.uniform(d, ell, F, lam, nu)
+        rho = np.array([draw(unit) * 108.0 for _ in range(d)])
+    else:
+        rates = st.floats(0.0, 3000.0)
+        spec = SegmentSpec.uniform(d, ell, TC, (draw(rates), draw(rates)),
+                                   (draw(rates), draw(rates)))
+        rho = []
+        for _ in range(d):
+            occ, share = draw(unit) * TC.params.N, draw(unit)
+            rho += [occ * (1.0 - share) / TC.params.L1, occ * share / TC.params.L2]
+        rho = np.minimum(rho, spec.system().rho_jam)
+    return spec, rho, np.diag(draw(unit) * rho / ell)
+
+
+def assert_symmetric_psd(C):
+    np.testing.assert_array_equal(C, C.T)
+    assert np.linalg.eigvalsh(C).min() >= -1e-9 * max(np.trace(C), 1.0)
+
+
+class TestInvariants:
+    @INVARIANTS
+    @given(segments())
+    def test_covariance_symmetric_psd_at_every_step(self, case):
+        spec, rho, V0 = case
+        tl = solve_moments(spec, rho, np.zeros(len(rho)), V0, horizon=0.1)
+        for V in tl.V:
+            assert_symmetric_psd(V)
+
+    @INVARIANTS
+    @given(segments(), st.booleans())
+    def test_cumulative_covariance_symmetric_psd_at_every_point(self, case,
+                                                                feedback):
+        spec, rho, x0_cov = case
+        ct = solve_cumulative_moments(spec, rho, np.linspace(0.0, 0.05, 11),
+                                      x0_cov=x0_cov, x0_feedback=feedback)
+        for C in ct.cov:
+            assert_symmetric_psd(C)
+
+
+class TestStepSplitting:
+    def test_draining_short_cell_stays_psd(self):
+        # the fluid empties a 0.1 km two-class cell mid-step: the RK4
+        # stages straddle the kink where the departure rate turns from
+        # the cap nu (slope 0) to v_f rho (slope -v_f / l = -1080 / h),
+        # and a whole step would leave V = -193 (found by TestInvariants)
+        spec = SegmentSpec.uniform(1, 0.1, TC, (0.0, 0.0), (233.0, 0.0))
+        tl = solve_moments(spec, np.array([1.5 / TC.params.L1, 0.0]),
+                           np.zeros(2), np.zeros((2, 2)), horizon=0.1)
+        split = [k for k, taken in enumerate(tl.substeps) if len(taken) > 1]
+        assert split
+        for V in tl.V:
+            assert_symmetric_psd(V)
+        # the propagator re-runs the split steps: Gamma(s, t) = V(s) Phi(t, s)^T
+        s, t = tl.times[split[0] - 1], tl.times[split[-1] + 1]
+        k = split[0] - 1
+        np.testing.assert_array_equal(cross_covariance(tl, s, s), tl.V[k])
+        np.testing.assert_allclose(cross_covariance(tl, s, t),
+                                   tl.V[k] @ fundamental_solution(tl, s, t).T,
+                                   rtol=1e-9, atol=1e-9)
+
+    def test_non_finite_covariance_is_named(self):
+        sys = SegmentSpec.uniform(2, 1.0, F, 800.0, 1800.0).system()
+        sys.rate_jacobian = lambda rho: np.full((sys.n_trans, sys.n_state), np.nan)
+        with pytest.raises(FloatingPointError):
+            solve_moments(sys, np.full(2, 10.0), np.zeros(2), np.zeros((2, 2)),
+                          horizon=0.01)

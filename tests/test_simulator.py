@@ -6,6 +6,7 @@ from gaussctm.flux import DaganzoFlux, DaganzoParams
 from gaussctm.model import SegmentSpec
 from gaussctm.simulator import (
     SimConfig,
+    SimulationError,
     ensemble_moments,
     estimate_throughput,
     simulate,
@@ -102,6 +103,28 @@ class TestSimulate:
             for b in sys.blocks:
                 q_py.extend(b.rate_py(list(rho)))
             np.testing.assert_allclose(np.maximum(q_py, 0.0), q_np, atol=1e-9)
+
+    @pytest.mark.parametrize("start,rates", [(0, (0.0, 1000.0)),
+                                             (108, (1000.0, 0.0))])
+    def test_inconsistent_rates_raise(self, start, rates):
+        # constant rates that ignore the counts: the only possible first
+        # event empties an empty cell or fills a jammed one
+        sys = seg(d=1).system()
+        for b, r in zip(sys.blocks, rates):
+            b.rate_py = lambda rl, r=r: [r]
+        with pytest.raises(SimulationError):
+            simulate(sys, [start], SimConfig(horizon=1.0, seed=0))
+
+    def test_array_rates_once_per_event(self):
+        f = {r: F for r in ("r1", "r2", "r3", "r4", "r5", "r6")}
+        sys = example_network(1, 1.0, f, 0.5, 0.5, 0.5, 0.5, 800.0, 1800.0).system()
+        calls = []
+        rates = sys.rates
+        sys.rates = lambda rho: (calls.append(1), rates(rho))[1]
+        traj = simulate(sys, np.zeros(sys.n_state, dtype=int),
+                        SimConfig(horizon=0.2, seed=3))
+        assert traj.n_events > 100
+        assert len(calls) == traj.n_events + 1
 
 
 class TestThroughput:
