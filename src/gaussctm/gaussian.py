@@ -11,15 +11,23 @@ whose Gaussian moments are propagated on the augmented vector
 z = (X(0), Y) with block dynamics  dY = dQ(rho) L (dX0 + H dY)  and
 independent Poisson noise diag(Q(rho)) on the Y block.  Keeping X(0)
 inside z makes Cov(X(0), Y(t)) available directly, which the
-travel-time tail needs.  Nothing across time is stored: cross-time
-covariances and the fundamental solution are computed on demand by one
-forward propagator G' = G A(rho)^T along the solvers' own RK4 steps.
+travel-time tail needs.  From a fixed point of the fluid drift on a
+uniform grid, rho stays put and the cumulative moments obey a linear
+time-invariant ODE: they then take one exact step per grid interval,
+C <- E C E' + W with E = exp(A h) and the noise integral W from Van
+Loan's block exponential (1978), in place of RK4.  Nothing across time
+is stored: cross-time covariances and the fundamental solution are
+computed on demand by one forward propagator G' = G A(rho)^T along the
+solvers' own RK4 steps.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.linalg.lapack import dpotrf
+
+from .stationary import is_at_rest
 
 __all__ = [
     "GaussianTimeline",
@@ -205,6 +213,33 @@ def _augmented(sys, x0_feedback):
     return jac
 
 
+def _uniform_step(times):
+    """The spacing of `times` (from 0) if every interval equals it to
+    1e-9 relative, else None."""
+    if len(times) < 2:
+        return None
+    h = times[-1] / (len(times) - 1)
+    return h if np.all(np.abs(np.diff(times) - h) <= 1e-9 * h) else None
+
+
+def _exact_step(A, N, h):
+    """E = e^{A h} and W = int_0^h e^{A s} N e^{A' s} ds.  Van Loan's
+    block exponential (1978) runs on h / 2^k with ||A||_1 h / 2^k <= 1/2,
+    then k doublings W <- E W E' + W, E <- E E: over a long h the block
+    exponential holds e^{-A h}, and W cancels catastrophically in it."""
+    n = len(A)
+    k = int(np.ceil(np.log2(max(2.0 * np.linalg.norm(A, 1) * h, 1.0))))
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n], block[:n, n:], block[n:, n:] = -A, N, A.T
+    P = expm(block * (h / 2**k))
+    E = P[n:, n:].T
+    W = E @ P[:n, n:]
+    for _ in range(k):
+        W = E @ W @ E.T + W
+        E = E @ E
+    return E, 0.5 * (W + W.T)
+
+
 class CumulativeTimeline:
     """Gaussian moments of z = (X(0), Y) on a declared time grid.
 
@@ -254,9 +289,16 @@ def solve_cumulative_moments(spec, rho0, time_grid, x0_cov=None,
     vector but the rate linearization is taken around the fluid path
     only — the convention of the route-comparison studies, where the
     initial covariance models a driver's uncertainty about the queue
-    ahead rather than physical dispersion."""
+    ahead rather than physical dispersion.
+
+    If rho0 is at rest (`stationary.is_at_rest`) and the grid uniform to
+    1e-9 relative, each grid interval is one exact step of the then
+    time-invariant moment equations; otherwise RK4 steps of at most
+    `step` cover each interval."""
     sys = spec.system()
     sys.check_domain(rho0)
+    if step <= 0:
+        raise ValueError("step must be positive")
     grid = np.asarray(time_grid, dtype=float)
     if len(grid) < 1 or np.any(np.diff(grid) <= 0):
         raise ValueError("time grid must be strictly increasing")
@@ -284,12 +326,30 @@ def solve_cumulative_moments(spec, rho0, time_grid, x0_cov=None,
         dC[ns:, ns:] += np.diag(Q)
         return sys.LH @ Q, Q, dC
 
-    substeps = []
-    for g in range(len(grid) - 1):
-        substeps.append([])
-        for h in _steps(times[g + 1] - times[g], step):
-            (rho, ybar, C), taken = _step(sys, deriv, (rho, ybar, C), h)
-            substeps[g] += taken
-        y_means[g + 1], covs[g + 1], rhos[g + 1] = ybar, C, rho
+    h = _uniform_step(times)
+    if h is not None and is_at_rest(sys, rho):
+        # rho stays put, so z' = A z + noise is time-invariant: each grid
+        # interval is the same exact step.  `substeps` records the RK4
+        # steps along which `cross` propagates, as on the RK4 path.
+        Q = sys.rates(rho)
+        N = np.zeros((ns + K, ns + K))
+        N[ns:, ns:] = np.diag(Q)
+        E, W = _exact_step(A_of(rho), N, h)
+        for g in range(len(grid) - 1):
+            C = E @ C @ E.T + W
+            C = 0.5 * (C + C.T)
+            if not _psd(C):
+                raise FloatingPointError(f"indefinite covariance at exact step {g}")
+            ybar = ybar + Q * h
+            y_means[g + 1], covs[g + 1], rhos[g + 1] = ybar, C, rho
+        substeps = [_steps(h, step) for _ in range(len(grid) - 1)]
+    else:
+        substeps = []
+        for g in range(len(grid) - 1):
+            substeps.append([])
+            for h in _steps(times[g + 1] - times[g], step):
+                (rho, ybar, C), taken = _step(sys, deriv, (rho, ybar, C), h)
+                substeps[g] += taken
+            y_means[g + 1], covs[g + 1], rhos[g + 1] = ybar, C, rho
     return CumulativeTimeline(sys, times, ell * np.asarray(rho0, dtype=float),
                               y_means, covs, rhos, substeps, x0_feedback)

@@ -1,11 +1,16 @@
 """Stationary Gaussian fixed point and long-run performance metrics.
 
-The fixed point (mu, V) of the moment equations is found by the plain
-forward-Euler iteration mu_{k+1} = mu_k + F(mu_k) dt and the matching
-Lyapunov update for V, starting from zero.  Per-cell discrete marginals
-are obtained by integrating the stationary Gaussian over unit-count
-rectangles (continuity correction), and performance metrics are sums of
-a state function against those marginals.
+The fixed point (mu, V) of the moment equations is found by
+pseudo-transient continuation for mu (Kelley & Keyes 1998), a damped
+Newton iteration mu <- mu + (I / tau - J)^-1 F(mu) whose pseudo time
+step tau grows as the drift residual falls, followed by one Lyapunov
+solve J V + V J' + B B' = 0 (Bartels-Stewart) once J is Hurwitz at mu.
+Where the continuation stalls or lands on a point with a non-decaying
+mode, the forward-Euler iteration mu_{k+1} = mu_k + F(mu_k) dt with the
+matching update for V runs from zero instead, as in the paper.  Per-cell
+discrete marginals are obtained by integrating the stationary Gaussian
+over unit-count rectangles (continuity correction), and performance
+metrics are sums of a state function against those marginals.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eig, eigvals, solve_continuous_lyapunov
+from scipy.linalg.lapack import dgesv
 from scipy.special import ndtr
 from scipy.stats import multivariate_normal
 
@@ -24,11 +31,22 @@ __all__ = [
     "DiscreteMarginal",
     "FixedPointError",
     "stationary_fixed_point",
+    "is_at_rest",
     "cell_marginal",
     "joint_marginal",
     "stationary_metric",
     "deterministic_metric",
 ]
+
+
+# mu is at rest when ||F(mu)||_inf <= DRIFT_RTOL max(1, ||Q(mu)||_inf):
+# the stopping rule of the continuation, and the test by which a
+# cumulative-moment solve takes its exact time-invariant steps.
+DRIFT_RTOL = 1e-12
+PTC_MAX_ITER = 1000
+# J counts as Hurwitz when every eigenvalue has
+# Re < -HURWITZ_MARGIN max(1, ||J||_inf).
+HURWITZ_MARGIN = 1e-9
 
 
 class FixedPointError(RuntimeError):
@@ -46,6 +64,7 @@ class StationaryPoint:
     drift_residual: float  # ||F(mu)||_inf
     lyapunov_residual: float
     iterations: int
+    method: str = "euler"  # "ptc" (continuation + Lyapunov) or "euler"
 
 
 @dataclass
@@ -62,15 +81,111 @@ class DiscreteMarginal:
 
 def stationary_fixed_point(spec, dt=0.001, tol=1e-9,
                            max_iter=2_000_000) -> StationaryPoint:
+    """The fixed point (mu, V) of the moment equations.
+
+    mu is found by pseudo-transient continuation from zero (`_ptc`, whose
+    first pseudo time step is `dt`) and V by a Lyapunov solve at mu,
+    provided that the drift Jacobian J there is Hurwitz.  If the
+    continuation misses its residual within PTC_MAX_ITER steps, or J
+    has a non-decaying mode, the forward-Euler iteration of the paper
+    (`_euler`, with `dt`, `tol` and `max_iter`) runs from zero instead;
+    `method` says which of the two produced the point."""
+    sys = spec.system()
+    mu, iterations = _ptc(sys, dt)
+    note = ""
+    if mu is not None:
+        J = sys.drift_jacobian(mu)
+        critical = _critical_cells(sys, J)
+        if not critical:
+            B = sys.dispersion(mu)
+            V = solve_continuous_lyapunov(J, -B @ B.T)
+            V = 0.5 * (V + V.T)
+            return StationaryPoint(
+                sys, mu, V, float(np.abs(sys.drift(mu)).max()),
+                float(np.abs(J @ V + V @ J.T + B @ B.T).max()), iterations,
+                "ptc")
+        note = (f"; the continuation point has non-decaying modes in "
+                f"cells {critical}")
+    return _euler(sys, dt, tol, max_iter, note)
+
+
+def _at_rest(F, Q):
+    return np.abs(F).max() <= DRIFT_RTOL * max(1.0, np.abs(Q).max())
+
+
+def is_at_rest(sys, rho) -> bool:
+    """Whether rho is a fixed point of the fluid drift F = LH Q to the
+    relative residual DRIFT_RTOL."""
+    Q = sys.rates(rho)
+    return bool(_at_rest(sys.LH @ Q, Q))
+
+
+def _ptc(sys, dt):
+    """mu by pseudo-transient continuation (Kelley & Keyes 1998):
+    mu <- clip(mu + (I / tau - J)^-1 F(mu)) from zero, with tau = dt at
+    first and then scaled by the ratio of successive residual norms
+    (switched evolution relaxation).  Returns mu, or None if the drift
+    residual misses DRIFT_RTOL within PTC_MAX_ITER steps, and the number
+    of steps taken."""
+    LH, eye = sys.LH, np.eye(sys.n_state)
+    mu = np.zeros(sys.n_state)
+    Q = sys.rates(mu)
+    F = LH @ Q
+    res, tau = np.linalg.norm(F), dt
+    for it in range(PTC_MAX_ITER + 1):
+        if _at_rest(F, Q):
+            return mu, it
+        if it == PTC_MAX_ITER:
+            break
+        _, _, step, info = dgesv(eye / tau - LH @ sys.rate_jacobian(mu), F)
+        if info:  # singular
+            break
+        mu = np.clip(mu + step, 0.0, sys.rho_jam)
+        Q = sys.rates(mu)
+        F = LH @ Q
+        new = np.linalg.norm(F)
+        if not np.isfinite(new):
+            break
+        # switched evolution relaxation, capped to keep tau finite
+        tau, res = min(tau * res / max(new, 1e-300), 1e12), new
+    return None, it
+
+
+def _margin(J):
+    return HURWITZ_MARGIN * max(1.0, np.abs(J).sum(axis=1).max())
+
+
+def _critical_cells(sys, J):
+    """1-based cells (or the network's cell labels) that carry the
+    non-decaying modes of J, those whose eigenvalues have
+    Re >= -HURWITZ_MARGIN max(1, ||J||_inf): the states holding at least
+    a tenth of the largest eigenvector entry.  Empty if J is Hurwitz."""
+    margin = _margin(J)
+    if eigvals(J).real.max() < -margin:
+        return []
+    lam, vec = eig(J)
+    bad = lam.real >= -margin
+    weight = np.abs(vec[:, bad]).max(axis=1)
+    cells = sorted({int(s) // sys.m for s in np.flatnonzero(weight >= 0.1 * weight.max())})
+    if sys.cell_labels is not None:
+        return [sys.cell_labels[c] for c in cells]
+    return [c + 1 for c in cells]
+
+
+def _euler(sys, dt, tol, max_iter, note=""):
     """Forward-Euler fixed-point iteration from (0, 0); stops when the
     Euclidean distance between consecutive stacked (mu, V) iterates
-    drops below tol.  Raises FixedPointError as soon as that distance
-    or V is no longer finite (the iteration has diverged)."""
-    sys = spec.system()
+    drops below tol.  Raises FixedPointError, with `note` appended, as
+    soon as that distance or V is no longer finite (the iteration has
+    diverged), or once mu stops moving while the then linear update of
+    V does not contract: mu's update does not read V, so from there on
+    V <- V + dt (J V + V J' + B B') with J and B fixed, whose rates are
+    |1 + dt (l_i + l_j)| over the eigenvalues l of J."""
     ns = sys.n_state
     LH = sys.LH
     mu = np.zeros(ns)
     V = np.zeros((ns, ns))
+    moving = True
     for it in range(1, max_iter + 1):
         Q = sys.rates(mu)
         dQ = sys.rate_jacobian(mu)
@@ -80,21 +195,31 @@ def stationary_fixed_point(spec, dt=0.001, tol=1e-9,
         Vdot = J @ V + V @ J.T + B @ B.T
         dmu = F * dt
         dV = Vdot * dt
-        mu = np.clip(mu + dmu, 0.0, sys.rho_jam)
+        new = np.clip(mu + dmu, 0.0, sys.rho_jam)
+        if moving and np.array_equal(new, mu):
+            moving = False
+            lam = eigvals(J)
+            rate = np.abs(1.0 + dt * (lam[:, None] + lam[None, :])).max()
+            if rate >= 1.0 - dt * _margin(J):
+                raise FixedPointError(
+                    f"iteration cannot converge: mu is fixed from step {it} "
+                    f"and the V update does not contract (rate {rate:.6f})"
+                    + note, float(np.abs(F).max()), float(np.abs(Vdot).max()))
+        mu = new
         V = V + dV
         dist = np.sqrt(np.dot(dmu, dmu) + np.sum(dV * dV))
         if not (np.isfinite(dist) and np.isfinite(V).all()):
             raise FixedPointError(
-                f"iteration diverged at step {it} (step distance {dist:.3e})",
-                float(np.abs(F).max()), float(np.abs(Vdot).max()))
+                f"iteration diverged at step {it} (step distance {dist:.3e})"
+                + note, float(np.abs(F).max()), float(np.abs(Vdot).max()))
         if dist < tol:
             return StationaryPoint(
                 sys, mu, 0.5 * (V + V.T),
                 float(np.abs(sys.drift(mu)).max()),
-                float(np.abs(Vdot).max()), it)
+                float(np.abs(Vdot).max()), it, "euler")
     raise FixedPointError(
         f"no fixed point after {max_iter} iterations "
-        f"(last step distance {dist:.3e})",
+        f"(last step distance {dist:.3e})" + note,
         float(np.abs(F).max()), float(np.abs(Vdot).max()))
 
 

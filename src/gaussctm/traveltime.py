@@ -92,15 +92,11 @@ def _tail_curve(cum, m, i, k, j, t, grid, offset):
         w[(c - 1) * m + (j - 1)] = -1.0
     w[ns + (i + k) * m + (j - 1)] = 1.0  # cumulative outflow of cell i+k
 
-    values = np.empty(len(grid))
-    for g in range(len(grid)):
-        gg = g + offset
-        mean = float(w @ cum.z_mean(gg))
-        var = float(w @ cum.cov[gg] @ w)
-        if var <= 1e-18:
-            values[g] = 1.0 if mean < 0 else 0.0
-        else:
-            values[g] = ndtr(-mean / np.sqrt(var))
+    mean = cum.y_mean[offset:] @ w[ns:] + w[:ns] @ cum.x0_mean
+    var = np.einsum("i,gij,j->g", w, cum.cov[offset:], w)
+    spread = var > 1e-18
+    values = np.where(spread, ndtr(-mean / np.sqrt(np.where(spread, var, 1.0))),
+                      mean < 0)
     np.clip(values, 0.0, 1.0, out=values)
     values = np.minimum.accumulate(values)  # enforce a proper tail
     return TailCurve(i, k, j, t, grid, values)

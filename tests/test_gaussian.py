@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gaussctm import gaussian
 from gaussctm.flux import DaganzoFlux, DaganzoParams, TwoClassFlux, TwoClassParams
 from gaussctm.gaussian import (
     cross_covariance,
@@ -299,3 +300,70 @@ class TestStepSplitting:
         with pytest.raises(FloatingPointError):
             solve_moments(sys, np.full(2, 10.0), np.zeros(2), np.zeros((2, 2)),
                           horizon=0.01)
+
+
+class TestExactSteps:
+    """From a fixed point on a uniform grid the cumulative moments take
+    exact time-invariant steps; a grid that is not uniform forces RK4."""
+
+    @pytest.fixture(autouse=True)
+    def exact_steps(self, monkeypatch):
+        """Interval lengths passed to the exact step, per solve."""
+        calls = []
+
+        def spy(A, N, h):
+            calls.append(h)
+            return exact_step(A, N, h)
+        exact_step = gaussian._exact_step
+        monkeypatch.setattr(gaussian, "_exact_step", spy)
+        return calls
+
+    @pytest.mark.parametrize("x0_feedback", [True, False])
+    @pytest.mark.parametrize("spec", [
+        SegmentSpec.uniform(3, 0.5, F, 1400.0, 1200.0),
+        SegmentSpec.uniform(3, 0.5, TC, (1000.0, 250.0), (900.0, 100.0)),
+    ], ids=["daganzo", "two-class"])
+    def test_match_rk4_from_fixed_points(self, spec, x0_feedback, exact_steps):
+        fp = stationary_fixed_point(spec)
+        x0_cov = np.diag(fp.mu / 2.0)
+        grid = np.linspace(0.0, 0.05, 26)
+        exact = solve_cumulative_moments(spec, fp.mu, grid, x0_cov=x0_cov,
+                                         step=1e-4, x0_feedback=x0_feedback)
+        assert exact_steps == [pytest.approx(0.002, rel=1e-12)]
+        rk4_grid = np.insert(grid, 1, 0.001)  # not uniform
+        rk4 = solve_cumulative_moments(spec, fp.mu, rk4_grid, x0_cov=x0_cov,
+                                       step=1e-4, x0_feedback=x0_feedback)
+        assert len(exact_steps) == 1
+        keep = np.delete(np.arange(len(rk4_grid)), 1)
+        np.testing.assert_allclose(exact.y_mean, rk4.y_mean[keep], rtol=1e-7)
+        np.testing.assert_allclose(exact.cov, rk4.cov[keep], rtol=1e-7,
+                                   atol=1e-7 * np.abs(rk4.cov).max())
+
+    def test_long_interval(self, exact_steps):
+        # one 0.25 h step: W comes from 2^k doublings of a short Van Loan
+        # step (the block exponential over 0.25 h gave trace W = 5.4e6)
+        spec = SegmentSpec.uniform(3, 1.0, F, 800.0, 1800.0)
+        exact = solve_cumulative_moments(spec, np.full(3, 10.0), [0.0, 0.25])
+        rk4 = solve_cumulative_moments(spec, np.full(3, 10.0), [0.0, 0.1, 0.25],
+                                       step=1e-4)
+        assert exact_steps == [0.25]
+        np.testing.assert_allclose(exact.cov[-1], rk4.cov[-1], rtol=1e-7,
+                                   atol=1e-7 * np.abs(rk4.cov[-1]).max())
+        # the arrivals are a Poisson stream of rate lam: Var Y_0 = lam t
+        np.testing.assert_allclose(exact.cov[-1][3, 3], 200.0, rtol=1e-9)
+        assert np.trace(exact.cov[-1]) < 1e3
+
+    def test_cross_over_a_long_interval(self):
+        # cross re-runs RK4 steps of at most `step` across the interval:
+        # Cov(X(0), z(0.25)) read off cross(0, 1) equals the X(0) rows of
+        # cov[1]
+        spec = SegmentSpec.uniform(3, 1.0, F, 800.0, 1800.0)
+        ct = solve_cumulative_moments(spec, np.full(3, 10.0), [0.0, 0.25],
+                                      x0_cov=np.diag([4.0, 9.0, 16.0]))
+        np.testing.assert_allclose(ct.cross(0, 1)[:3], ct.cov[1][:3],
+                                   rtol=1e-7, atol=1e-7)
+
+    def test_a_start_off_rest_takes_rk4(self, exact_steps):
+        spec = SegmentSpec.uniform(3, 1.0, F, 800.0, 1800.0)
+        solve_cumulative_moments(spec, np.full(3, 10.5), [0.0, 0.01, 0.02])
+        assert exact_steps == []

@@ -2,9 +2,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import ndtr
 
-from gaussctm.flux import DaganzoFlux, DaganzoParams
+from gaussctm import stationary
+from gaussctm.flux import DaganzoFlux, DaganzoParams, TwoClassFlux, TwoClassParams
 from gaussctm.model import SegmentSpec
 from gaussctm.stationary import (
     DiscreteMarginal,
@@ -66,6 +68,77 @@ class TestFixedPoint:
         with pytest.raises(FixedPointError, match="diverged"):
             stationary_fixed_point(SegmentSpec.uniform(5, 0.06, F, 1200.0, 1200.0))
         assert time.perf_counter() - t0 < 1.0
+
+
+class TestContinuation:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 4), st.floats(0.1, 1.0), st.floats(0.0, 2500.0),
+           st.floats(300.0, 2500.0))
+    def test_matches_the_euler_oracle(self, d, ell, lam, nu):
+        # at lam = nu, or with both at or above the capacity of 1440 veh/h
+        # where the flux branches meet, cells sit on a kink and J may be
+        # singular (the fallback tests cover that); near lam = nu the
+        # queue fills at |lam - nu|, and the Euler oracle from zero takes
+        # about 1 / |lam - nu| iterations
+        assume(abs(lam - nu) >= 100.0 and min(lam, nu) < 1440.0)
+        spec = SegmentSpec.uniform(d, ell, F, lam, nu)
+        fp = stationary_fixed_point(spec)
+        oracle = stationary._euler(spec.system(), 0.001, 1e-9, 2_000_000)
+        assert fp.method == "ptc"
+        assert np.linalg.eigvals(fp.system.drift_jacobian(fp.mu)).real.max() < 0
+        # the oracle stops about 1e-9 / (dt |slowest mode|) from the point
+        np.testing.assert_allclose(fp.mu, oracle.mu, rtol=1e-7, atol=1e-7)
+        np.testing.assert_allclose(fp.V, oracle.V, rtol=1e-7,
+                                   atol=1e-7 * max(1.0, np.abs(oracle.V).max()))
+
+    def test_congested_two_class_point(self):
+        # the congested control point (spill-back from the exit): Euler
+        # needs about 11k iterations at the slowest drift mode, -1.88 / h
+        p = TwoClassParams(v_f1=108.0, v_f2=79.2, v_c=61.2, L1=0.0065,
+                           L2=0.0165, N=3, beta=0.25)
+        share = np.array([0.8 * p.L1 * p.v_f1, 0.2 * p.L2 * p.v_f2])
+        nu = 2 / 3 * p.v_c * p.beta * p.N * share / share.sum() / [p.L1, p.L2]
+        spec = SegmentSpec(10, (1.0,) * 10, TwoClassFlux(p), (3840.0, 960.0),
+                           tuple(nu))
+        fp = stationary_fixed_point(spec)
+        oracle = stationary._euler(spec.system(), 0.001, 1e-9, 2_000_000)
+        assert fp.method == "ptc" and fp.iterations < oracle.iterations / 10
+        np.testing.assert_allclose(fp.mu, oracle.mu, rtol=1e-7)
+        np.testing.assert_allclose(fp.V, oracle.V, rtol=1e-7,
+                                   atol=1e-7 * np.abs(oracle.V).max())
+        assert fp.lyapunov_residual < 1e-9 * np.abs(fp.V).max()
+
+    def test_non_hurwitz_point_falls_back_to_euler(self):
+        # lam = nu: the exit cell sits on the kink of its departure rate,
+        # where J takes the zero slope of the cap; Euler converges
+        spec = SegmentSpec.uniform(2, 0.5, F, 1200.0, 1200.0)
+        fp = stationary_fixed_point(spec)
+        oracle = stationary._euler(spec.system(), 0.001, 1e-9, 2_000_000)
+        assert fp.method == "euler"
+        np.testing.assert_array_equal(fp.mu, oracle.mu)
+        np.testing.assert_array_equal(fp.V, oracle.V)
+        assert fp.iterations == oracle.iterations
+
+    def test_stalled_continuation_falls_back_to_euler(self, monkeypatch):
+        spec = SegmentSpec.uniform(2, 11.0 / 108.0, F, 2520.0, 1200.0)
+        monkeypatch.setattr(stationary, "PTC_MAX_ITER", 3)
+        fp = stationary_fixed_point(spec)
+        oracle = stationary._euler(spec.system(), 0.001, 1e-9, 2_000_000)
+        assert fp.method == "euler"
+        np.testing.assert_array_equal(fp.mu, oracle.mu)
+        np.testing.assert_array_equal(fp.V, oracle.V)
+
+    def test_critical_load_on_short_cells_names_the_cells(self):
+        # dt * v_f / ell = 2: Euler settles mu on a congested fixed point
+        # at step 93 but its V update no longer contracts
+        t0 = time.perf_counter()
+        with pytest.raises(FixedPointError, match=r"cannot converge.*cells \[5\]"):
+            stationary_fixed_point(SegmentSpec.uniform(5, 0.04, F, 1200.0, 1200.0))
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_divergence_names_the_cells(self):
+        with pytest.raises(FixedPointError, match=r"diverged.*cells \[5\]"):
+            stationary_fixed_point(SegmentSpec.uniform(5, 0.06, F, 1200.0, 1200.0))
 
 
 class TestCellMarginal:

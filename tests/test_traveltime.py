@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from gaussctm.cli import route_travel_time
 from gaussctm.flux import DaganzoFlux, DaganzoParams, TwoClassFlux, TwoClassParams
+from gaussctm.gaussian import solve_cumulative_moments
 from gaussctm.model import SegmentSpec
 from gaussctm.simulator import SimConfig, simulate
 from gaussctm.traveltime import (
@@ -60,6 +62,27 @@ class TestTail:
             one = travel_time_tail(spec, rho, i=1, k=2, j=j, t=0.0, grid=grid)
             assert curve.j == j
             np.testing.assert_array_equal(curve.values, one.values)
+
+    def test_curve_matches_the_per_point_reference(self):
+        # one grid point at a time, as the vectorized curve replaced it;
+        # the sums run in another order, so 1e-12 relative
+        spec = self.spec(ell=0.5, lam=1400.0, nu=1200.0)
+        rho = np.array([20.0, 40.0, 60.0])
+        grid = default_grid(600.0, 201)
+        cum = solve_cumulative_moments(spec, rho, grid / 3600.0,
+                                       x0_cov=np.diag(rho / 2.0),
+                                       x0_feedback=False)
+        curve = travel_time_tail(spec, rho, i=1, k=2, j=1, t=0.0, grid=grid,
+                                 x0_cov=np.diag(rho / 2.0))
+        w = np.array([-1.0, -1.0, -1.0, 0.0, 0.0, 0.0, 1.0])
+        ref = np.empty(len(grid))
+        for g in range(len(grid)):
+            mean = float(w @ cum.z_mean(g))
+            var = float(w @ cum.cov[g] @ w)
+            ref[g] = (1.0 if mean < 0 else 0.0) if var <= 1e-18 else ndtr(-mean / np.sqrt(var))
+        ref = np.minimum.accumulate(np.clip(ref, 0.0, 1.0))
+        assert 0.0 < ref[-1] < ref[0] == 1.0
+        np.testing.assert_allclose(curve.values, ref, rtol=1e-12, atol=0)
 
     def test_free_flow_mean(self):
         spec = self.spec()
