@@ -299,20 +299,17 @@ def run_network(cfg, out, seed, dry_run=False):
         print(f"network ({variant}): {len(cases)} case(s), horizon "
               f"{horizon_s} s sampled every {every} s -> {out}")
         return
+    samples_s = np.arange(0.0, horizon_s + 1e-9, every)
     rows = []
     for p12, fluxes in cases:
         net = example_network(d, ell, fluxes, p12, p23, p45, p36, lam, nu)
         sys_ = net.system()
-        tl = solve_moments(sys_, np.zeros(sys_.n_state),
-                           np.zeros(sys_.n_state),
-                           np.zeros((sys_.n_state, sys_.n_state)),
-                           horizon_s / 3600.0, step)
-        sample_idx = [min(int(round(t / 3600.0 / tl.step)), len(tl.times) - 1)
-                      for t in np.arange(0.0, horizon_s + 1e-9, every)]
-        for k in sample_idx:
-            t_s = tl.times[k] * 3600.0
+        n = sys_.n_state
+        tl = solve_moments(sys_, np.zeros(n), np.zeros(n), np.zeros((n, n)),
+                           samples_s / 3600.0, step)
+        for k, t_s in enumerate(samples_s):
             sd = np.sqrt(np.maximum(np.diag(tl.V[k]), 0.0))
-            for c in range(sys_.n_state):
+            for c in range(n):
                 rows.append((p12, t_s, sys_.cell_labels[c],
                              tl.mean[k][c], sd[c]))
     _write_csv(out, ("p12", "time_s", "cell", "mean_veh_per_km",

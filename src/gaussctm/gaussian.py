@@ -15,10 +15,12 @@ travel-time tail needs.  From a fixed point of the fluid drift on a
 uniform grid, rho stays put and the cumulative moments obey a linear
 time-invariant ODE: they then take one exact step per grid interval,
 C <- E C E' + W with E = exp(A h) and the noise integral W from Van
-Loan's block exponential (1978), in place of RK4.  Nothing across time
-is stored: cross-time covariances and the fundamental solution are
-computed on demand by one forward propagator G' = G A(rho)^T along the
-solvers' own RK4 steps.
+Loan's block exponential (1978), in place of RK4.  Every solver covers
+each interval of the caller's increasing `time_grid` (taken relative to
+its first point) with equal RK4 steps of at most `step`, and stores
+results at the grid points only: cross-time covariances and the
+fundamental solution are computed on demand by one forward propagator
+G' = G A(rho)^T along the solvers' own RK4 steps.
 """
 
 from __future__ import annotations
@@ -97,21 +99,20 @@ def _propagate(timeline, a, b, G, jac):
 
 
 class GaussianTimeline:
-    """Mean/covariance solution on a uniform time grid.
+    """Mean/covariance solution at the points of the caller's time grid.
 
     `rho` is the fluid trajectory, `M` the mean of the linearized
     deviation (so the approximating mean of the density process is
     rho + M), `V` its covariance and `substeps[k]` the RK4 steps taken
     from grid point k to k + 1."""
 
-    def __init__(self, system, times, rho, M, V, step, substeps):
+    def __init__(self, system, times, rho, M, V, substeps):
         self.system = system
         self.times = times
         self.rho = rho
         self.M = M
         self.V = V
         self.phi = None  # never stored; read only by perfbench/tracer.py
-        self.step = step
         self.substeps = substeps
 
     @property
@@ -119,49 +120,67 @@ class GaussianTimeline:
         return self.rho + self.M
 
     def index_of(self, t):
-        k = int(round((t - self.times[0]) / self.step))
-        if k < 0 or k >= len(self.times) or abs(self.times[k] - t) > 1e-9:
+        k = int(np.searchsorted(self.times, t - 1e-9))
+        if k >= len(self.times) or abs(self.times[k] - t) > 1e-9:
             raise ValueError(f"t={t} is not on the solved grid")
         return k
 
 
 def _steps(span, step):
     """The ceil(span / step) equal RK4 steps that cover `span`."""
-    if step <= 0:
-        raise ValueError("step must be positive")
     n = max(1, int(np.ceil(span / step - 1e-12)))
     return [span / n] * n
 
 
-def solve_fluid(spec, rho0, horizon, step=1e-3):
-    """Fluid trajectory rho' = F(rho) by fixed-step RK4; densities are
-    clamped to [0, rho_jam] after each step."""
-    sys = spec.system()
-    sys.check_domain(rho0)
-    steps = _steps(horizon, step)
-    rho = np.asarray(rho0, dtype=float)
-    out = np.empty((len(steps) + 1, sys.n_state))
-    out[0] = rho
-    for k, h in enumerate(steps):
-        (rho,) = _rk4(sys, lambda r: (sys.drift(r),), (rho,), h)
-        out[k + 1] = rho
-    return np.arange(len(steps) + 1) * steps[0], out
+def _grid(time_grid, step):
+    """Strictly increasing `time_grid` relative to its first point."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    grid = np.asarray(time_grid, dtype=float)
+    if grid.ndim != 1 or len(grid) < 1 or np.any(np.diff(grid) <= 0):
+        raise ValueError("time grid must be strictly increasing")
+    return grid - grid[0]
 
 
-def solve_moments(spec, rho0, M0, V0, horizon, step=1e-3) -> GaussianTimeline:
-    """Joint RK4 solve of (rho, M, V); V is re-symmetrized after every
-    step to suppress round-off drift."""
+def _march(advance, state, times, step):
+    """Covers each interval of `times` with the `_steps` of at most
+    `step`, each taken by advance(state, h) -> (state, substeps taken).
+    Returns the state at every grid point, one array per entry of
+    `state`, and the substeps taken per interval."""
+    out = [np.full((len(times),) + np.shape(x), x) for x in state]
+    substeps = []
+    for g in range(len(times) - 1):
+        substeps.append([])
+        for h in _steps(times[g + 1] - times[g], step):
+            state, taken = advance(state, h)
+            substeps[g] += taken
+        for o, x in zip(out, state):
+            o[g + 1] = x
+    return out, substeps
+
+
+def solve_fluid(spec, rho0, time_grid, step=1e-3):
+    """Fluid trajectory rho' = F(rho) at the points of `time_grid` by
+    fixed-step RK4; densities are clamped to [0, rho_jam] after each
+    step.  Returns the grid relative to its first point and rho there."""
     sys = spec.system()
     sys.check_domain(rho0)
+    times = _grid(time_grid, step)
+
+    def advance(state, h):
+        return _rk4(sys, lambda r: (sys.drift(r),), state, h), [h]
+    (rho,), _ = _march(advance, (np.asarray(rho0, dtype=float),), times, step)
+    return times, rho
+
+
+def solve_moments(spec, rho0, M0, V0, time_grid, step=1e-3) -> GaussianTimeline:
+    """Joint RK4 solve of (rho, M, V) at the points of `time_grid`; V is
+    re-symmetrized after every step to suppress round-off drift."""
+    sys = spec.system()
+    sys.check_domain(rho0)
+    times = _grid(time_grid, step)
     V = _check_psd(V0, "initial covariance")
     rho, M = np.asarray(rho0, dtype=float), np.asarray(M0, dtype=float)
-    steps = _steps(horizon, step)
-    n, h, ns = len(steps), steps[0], sys.n_state
-
-    rhos = np.empty((n + 1, ns))
-    Ms = np.empty((n + 1, ns))
-    Vs = np.empty((n + 1, ns, ns))
-    rhos[0], Ms[0], Vs[0] = rho, M, V
 
     def deriv(r, m, v):
         Q = sys.rates(r)
@@ -169,13 +188,9 @@ def solve_moments(spec, rho0, M0, V0, horizon, step=1e-3) -> GaussianTimeline:
         B = sys.LH * np.sqrt(Q)[None, :]
         return (sys.LH @ Q, J @ m, J @ v + v @ J.T + B @ B.T)
 
-    substeps = []
-    for k in range(n):
-        (rho, M, V), taken = _step(sys, deriv, (rho, M, V), h)
-        substeps.append(taken)
-        rhos[k + 1], Ms[k + 1], Vs[k + 1] = rho, M, V
-    return GaussianTimeline(sys, np.arange(n + 1) * h, rhos, Ms, Vs, h,
-                            substeps)
+    (rhos, Ms, Vs), substeps = _march(
+        lambda s, h: _step(sys, deriv, s, h), (rho, M, V), times, step)
+    return GaussianTimeline(sys, times, rhos, Ms, Vs, substeps)
 
 
 def _forward(timeline: GaussianTimeline, s, t, start):
@@ -297,11 +312,7 @@ def solve_cumulative_moments(spec, rho0, time_grid, x0_cov=None,
     `step` cover each interval."""
     sys = spec.system()
     sys.check_domain(rho0)
-    if step <= 0:
-        raise ValueError("step must be positive")
-    grid = np.asarray(time_grid, dtype=float)
-    if len(grid) < 1 or np.any(np.diff(grid) <= 0):
-        raise ValueError("time grid must be strictly increasing")
+    times = _grid(time_grid, step)
     ns, K = sys.n_state, sys.n_trans
     ell = sys.state_lengths
     x0_cov = _check_psd(np.zeros((ns, ns)) if x0_cov is None else x0_cov,
@@ -311,12 +322,6 @@ def solve_cumulative_moments(spec, rho0, time_grid, x0_cov=None,
     ybar = np.zeros(K)
     C = np.zeros((ns + K, ns + K))
     C[:ns, :ns] = (ell[:, None] * x0_cov) * ell[None, :]
-
-    times = grid - grid[0]
-    y_means = np.empty((len(grid), K))
-    covs = np.empty((len(grid), ns + K, ns + K))
-    rhos = np.empty((len(grid), ns))
-    y_means[0], covs[0], rhos[0] = ybar, C, rho
     A_of = _augmented(sys, x0_feedback)
 
     def deriv(r, y, c):
@@ -335,21 +340,20 @@ def solve_cumulative_moments(spec, rho0, time_grid, x0_cov=None,
         N = np.zeros((ns + K, ns + K))
         N[ns:, ns:] = np.diag(Q)
         E, W = _exact_step(A_of(rho), N, h)
-        for g in range(len(grid) - 1):
+        y_means = np.empty((len(times), K))
+        covs = np.empty((len(times), ns + K, ns + K))
+        y_means[0], covs[0] = ybar, C
+        for g in range(len(times) - 1):
             C = E @ C @ E.T + W
             C = 0.5 * (C + C.T)
             if not _psd(C):
                 raise FloatingPointError(f"indefinite covariance at exact step {g}")
             ybar = ybar + Q * h
-            y_means[g + 1], covs[g + 1], rhos[g + 1] = ybar, C, rho
-        substeps = [_steps(h, step) for _ in range(len(grid) - 1)]
+            y_means[g + 1], covs[g + 1] = ybar, C
+        rhos = np.full((len(times), ns), rho)
+        substeps = [_steps(h, step) for _ in range(len(times) - 1)]
     else:
-        substeps = []
-        for g in range(len(grid) - 1):
-            substeps.append([])
-            for h in _steps(times[g + 1] - times[g], step):
-                (rho, ybar, C), taken = _step(sys, deriv, (rho, ybar, C), h)
-                substeps[g] += taken
-            y_means[g + 1], covs[g + 1], rhos[g + 1] = ybar, C, rho
+        (rhos, y_means, covs), substeps = _march(
+            lambda s, h: _step(sys, deriv, s, h), (rho, ybar, C), times, step)
     return CumulativeTimeline(sys, times, ell * np.asarray(rho0, dtype=float),
                               y_means, covs, rhos, substeps, x0_feedback)

@@ -68,9 +68,8 @@ def travel_time_tail(spec, state0, i, k, j, t, grid, x0_cov=None,
     rho_t = np.asarray(state0, dtype=float)
     cov_t = x0_cov
     if t > 0:
-        tl = solve_moments(sys, rho_t, np.zeros(sys.n_state),
-                           np.zeros((sys.n_state, sys.n_state)) if x0_cov is None
-                           else x0_cov, t, step)
+        V0 = np.zeros((sys.n_state, sys.n_state)) if x0_cov is None else x0_cov
+        tl = solve_moments(sys, rho_t, np.zeros(sys.n_state), V0, [0.0, t], step)
         rho_t, cov_t = tl.mean[-1], tl.V[-1]
 
     grid_h = grid * HOURS_PER_SECOND

@@ -104,7 +104,7 @@ def test_criterion_4_oracle_equivalence():
                           SimConfig(horizon=0.2, seed=123,
                                     replications=5000), sample_times)
     tl = solve_moments(spec, np.zeros(2), np.zeros(2), np.zeros((2, 2)),
-                       horizon=0.2, step=1e-3)
+                       np.linspace(0.0, 0.2, 201), step=1e-3)
     for k, t in enumerate(sample_times):
         g = tl.index_of(round(t, 10))
         z = (tl.mean[g] - em.mean[k]) / em.mean_se[k]
@@ -123,7 +123,7 @@ def test_criterion_5_moment_engine_numerics():
     sig2 = 2.0 * p.v_f * p.w * p.rho_max / (p.v_f + p.w)
     spec = SegmentSpec.uniform(1, 1.0, DaganzoFlux(p), 1e9, 1e9)
     tl = solve_moments(spec, np.array([rho_star]), np.zeros(1),
-                       np.zeros((1, 1)), horizon=0.05, step=1e-4)
+                       np.zeros((1, 1)), np.linspace(0.0, 0.05, 501), step=1e-4)
     exact = sig2 / (2.0 * abs(a)) * (1.0 - np.exp(2.0 * a * tl.times))
     np.testing.assert_allclose(tl.V[:, 0, 0], exact, atol=1e-6)
 
@@ -135,7 +135,7 @@ def test_criterion_5_moment_engine_numerics():
     # symmetry and positive semidefiniteness on a nonlinear instance
     spec5 = SegmentSpec.uniform(5, 11.0 / 108.0, F34, 1400.0, 1200.0)
     tl5 = solve_moments(spec5, np.full(5, 10.0), np.zeros(5),
-                        np.zeros((5, 5)), horizon=0.5, step=1e-3)
+                        np.zeros((5, 5)), np.linspace(0.0, 0.5, 501), step=1e-3)
     for V in tl5.V[::50]:
         np.testing.assert_array_equal(V, V.T)
         assert np.linalg.eigvalsh(V).min() >= -1e-9 * max(np.trace(V), 1.0)
@@ -163,9 +163,9 @@ def test_criterion_5_moment_engine_numerics():
 def test_criterion_6_network_symmetry():
     net = symmetric_network()
     sys = net.system()
-    horizon = 1000.0 / 3600.0
+    grid = np.linspace(0.0, 1000.0 / 3600.0, 279)  # 278 steps of at most 1e-3 h
     tl = solve_moments(sys, np.zeros(34), np.zeros(34),
-                       np.zeros((34, 34)), horizon, step=1e-3)
+                       np.zeros((34, 34)), grid, step=1e-3)
     r2, r4 = tl.mean[:, 5:10], tl.mean[:, 15:20]
     r3, r5 = tl.mean[:, 10:15], tl.mean[:, 20:25]
     assert np.max(np.abs(r2 - r4)) < 1e-8
@@ -181,7 +181,7 @@ def test_criterion_6_network_symmetry():
         q = sys.rates(rho)
         np.testing.assert_allclose(sys.lengths @ sys.drift(rho),
                                    q[arr].sum() - q[dep].sum(), atol=1e-9)
-    times, rho_path = solve_fluid(sys, np.zeros(34), horizon, step=1e-3)
+    times, rho_path = solve_fluid(sys, np.zeros(34), grid, step=1e-3)
     net_in = np.array([sys.rates(r)[arr].sum() - sys.rates(r)[dep].sum()
                        for r in rho_path])
     mass = rho_path @ sys.lengths

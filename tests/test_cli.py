@@ -221,6 +221,15 @@ class TestNetworkCommand:
             assert float(cells[a]["std_veh_per_km"]) == pytest.approx(
                 float(cells[b]["std_veh_per_km"]), abs=1e-9)
 
+    def test_rows_at_the_requested_sample_times(self, tmp_path):
+        # 100 s is not a whole number of 3.6 s steps: the solve steps each
+        # sample interval on its own, so no time is snapped to a step
+        ini = NETWORK_INI.replace("horizon_s = 200", "horizon_s = 360")
+        _, rows = run(tmp_path, "n", ini, "network")
+        times = list(dict.fromkeys(r["time_s"] for r in rows))
+        assert times == ["0", "100", "200", "300"]
+        assert len(rows) == 4 * len({r["cell"] for r in rows})
+
     def test_densities_fill_over_time(self, tmp_path):
         _, rows = run(tmp_path, "n", NETWORK_INI, "network")
         r1 = [float(r["mean_veh_per_km"]) for r in rows if r["cell"] == "r1[1]"]

@@ -27,37 +27,56 @@ OU_RHO = OU_P.w * OU_P.rho_max / (OU_P.v_f + OU_P.w)
 OU_SIG2 = 2.0 * OU_P.v_f * OU_P.w * OU_P.rho_max / (OU_P.v_f + OU_P.w)
 
 
+# 0.05 h in 500 RK4 steps of 1e-4 h, and a non-uniform grid whose
+# intervals take RK4 steps of the same length
+OU_GRID = np.linspace(0.0, 0.05, 501)
+OU_SPARSE = np.array([0.0, 0.003, 0.01, 0.02, 0.05])
+
+
 def ou_spec():
     return SegmentSpec.uniform(1, 1.0, DaganzoFlux(OU_P), 1e9, 1e9)
+
+
+def all_solvers(spec, rho0):
+    """The three solvers from rho0 on `spec`, as functions of the grid."""
+    n = len(rho0)
+    return (lambda grid, **kw: solve_fluid(spec, rho0, grid, **kw),
+            lambda grid, **kw: solve_moments(spec, rho0, np.zeros(n),
+                                             np.zeros((n, n)), grid, **kw),
+            lambda grid, **kw: solve_cumulative_moments(spec, rho0, grid, **kw))
 
 
 class TestSolveFluid:
     def test_stationary_start_stays_put(self):
         spec = SegmentSpec.uniform(3, 1.0, F, 800.0, 1800.0)
-        _, rho = solve_fluid(spec, np.full(3, 10.0), horizon=0.5)
+        _, rho = solve_fluid(spec, np.full(3, 10.0), np.linspace(0.0, 0.5, 501))
         np.testing.assert_allclose(rho, 10.0, atol=1e-9)
 
     def test_no_arrivals_drains_to_zero(self):
         spec = SegmentSpec.uniform(2, 1.0, F, 0.0, 1800.0)
-        _, rho = solve_fluid(spec, np.full(2, 10.0), horizon=1.0)
+        _, rho = solve_fluid(spec, np.full(2, 10.0), np.linspace(0.0, 1.0, 1001))
         np.testing.assert_allclose(rho[-1], 0.0, atol=1e-6)
 
     def test_relaxes_to_free_flow_level(self):
         spec = SegmentSpec.uniform(3, 1.0, F, 800.0, 1800.0)
-        _, rho = solve_fluid(spec, np.zeros(3), horizon=1.0)
+        _, rho = solve_fluid(spec, np.zeros(3), np.linspace(0.0, 1.0, 1001))
         np.testing.assert_allclose(rho[-1], 10.0, atol=1e-3)
 
     def test_step_validation(self):
         spec = SegmentSpec.uniform(2, 1.0, F, 800.0, 1800.0)
         with pytest.raises(ValueError):
-            solve_fluid(spec, np.zeros(2), horizon=1.0, step=0.0)
+            solve_fluid(spec, np.zeros(2), np.linspace(0.0, 1.0, 1001), step=0.0)
+        for solve in all_solvers(spec, np.zeros(2)):
+            for step in (0.0, -1e-3):
+                with pytest.raises(ValueError):
+                    solve([0.0, 0.1], step=step)
 
 
 class TestSolveMoments:
     def test_covariance_symmetric_and_psd(self):
         spec = SegmentSpec.uniform(3, 1.0, F, 800.0, 1800.0)
         tl = solve_moments(spec, np.full(3, 10.0), np.zeros(3),
-                           np.zeros((3, 3)), horizon=0.5)
+                           np.zeros((3, 3)), np.linspace(0.0, 0.5, 501))
         for V in tl.V[:: len(tl.V) // 10]:
             np.testing.assert_array_equal(V, V.T)
             w = np.linalg.eigvalsh(V)
@@ -67,37 +86,57 @@ class TestSolveMoments:
         spec = SegmentSpec.uniform(2, 1.0, F, 800.0, 1800.0)
         with pytest.raises(ValueError):
             solve_moments(spec, np.zeros(2), np.zeros(2),
-                          np.array([[1.0, 2.0], [0.0, 1.0]]), horizon=0.1)
+                          np.array([[1.0, 2.0], [0.0, 1.0]]),
+                          np.linspace(0.0, 0.1, 101))
         with pytest.raises(ValueError):
             solve_moments(spec, np.zeros(2), np.zeros(2),
-                          -np.eye(2), horizon=0.1)
+                          -np.eye(2), np.linspace(0.0, 0.1, 101))
 
     def test_ou_mean_and_variance(self):
-        tl = solve_moments(ou_spec(), np.array([OU_RHO]), np.zeros(1),
-                           np.zeros((1, 1)), horizon=0.05, step=1e-4)
-        t = tl.times
-        exact = OU_SIG2 / (2.0 * abs(OU_A)) * (1.0 - np.exp(2.0 * OU_A * t))
-        np.testing.assert_allclose(tl.V[:, 0, 0], exact, atol=1e-6)
-        np.testing.assert_allclose(tl.mean[:, 0], OU_RHO, atol=1e-9)
+        for grid in (OU_GRID, OU_SPARSE):
+            tl = solve_moments(ou_spec(), np.array([OU_RHO]), np.zeros(1),
+                               np.zeros((1, 1)), grid, step=1e-4)
+            t = tl.times
+            np.testing.assert_array_equal(t, grid)
+            exact = OU_SIG2 / (2.0 * abs(OU_A)) * (1.0 - np.exp(2.0 * OU_A * t))
+            np.testing.assert_allclose(tl.V[:, 0, 0], exact, atol=1e-6)
+            np.testing.assert_allclose(tl.mean[:, 0], OU_RHO, atol=1e-9)
 
     def test_ou_fundamental_solution(self):
         tl = solve_moments(ou_spec(), np.array([OU_RHO]), np.zeros(1),
-                           np.zeros((1, 1)), horizon=0.05, step=1e-4)
-        times = tl.times[::20]  # every 20th grid point, the last included
-        phi = [fundamental_solution(tl, 0.0, t)[0, 0] for t in times]
-        np.testing.assert_allclose(phi, np.exp(OU_A * times), rtol=1e-8)
+                           np.zeros((1, 1)), OU_GRID, step=1e-4)
+        sparse = solve_moments(ou_spec(), np.array([OU_RHO]), np.zeros(1),
+                               np.zeros((1, 1)), OU_SPARSE, step=1e-4)
+        # every 20th grid point, the last included, and every sparse point
+        for tl, times in ((tl, tl.times[::20]), (sparse, sparse.times)):
+            phi = [fundamental_solution(tl, 0.0, t)[0, 0] for t in times]
+            np.testing.assert_allclose(phi, np.exp(OU_A * times), rtol=1e-8)
 
     def test_mean_shift_decays_through_linearization(self):
-        tl = solve_moments(ou_spec(), np.array([OU_RHO]), np.array([0.5]),
-                           np.zeros((1, 1)), horizon=0.05, step=1e-4)
-        np.testing.assert_allclose(tl.M[:, 0], 0.5 * np.exp(OU_A * tl.times),
-                                   rtol=1e-8)
+        for grid in (OU_GRID, OU_SPARSE):
+            tl = solve_moments(ou_spec(), np.array([OU_RHO]), np.array([0.5]),
+                               np.zeros((1, 1)), grid, step=1e-4)
+            np.testing.assert_allclose(tl.M[:, 0], 0.5 * np.exp(OU_A * tl.times),
+                                       rtol=1e-8)
+
+    def test_coarse_grid_matches_fine_grid(self):
+        # each 0.01 h interval of the coarse grid takes the ten 1e-3 h RK4
+        # steps that the fine grid takes one per interval
+        spec = SegmentSpec.uniform(4, 0.5, F, 1400.0, 1200.0)
+        rho0, V0 = np.full(4, 20.0), np.diag([1.0, 2.0, 3.0, 4.0])
+        fine, coarse = np.linspace(0.0, 0.1, 101), np.linspace(0.0, 0.1, 11)
+        a, b = (solve_moments(spec, rho0, np.ones(4), V0, g) for g in (fine, coarse))
+        assert [len(taken) for taken in b.substeps] == [10] * 10
+        for x, y in ((a.rho, b.rho), (a.M, b.M), (a.V, b.V),
+                     (solve_fluid(spec, rho0, fine)[1],
+                      solve_fluid(spec, rho0, coarse)[1])):
+            np.testing.assert_allclose(x[::10], y, rtol=1e-12, atol=1e-12)
 
     def test_long_run_matches_fixed_point(self):
         spec = SegmentSpec.uniform(5, 11.0 / 108.0, F, 1400.0, 1200.0)
         fp = stationary_fixed_point(spec)
         tl = solve_moments(spec, fp.mu, np.zeros(5), np.zeros((5, 5)),
-                           horizon=6.0, step=1e-3)
+                           np.linspace(0.0, 6.0, 6001), step=1e-3)
         assert np.linalg.norm(tl.V[-1] - fp.V) < 1e-4
         np.testing.assert_allclose(tl.mean[-1], fp.mu, atol=1e-6)
 
@@ -105,13 +144,13 @@ class TestSolveMoments:
 class TestCrossCovariance:
     def test_equal_times_reduce_to_variance(self):
         tl = solve_moments(ou_spec(), np.array([OU_RHO]), np.zeros(1),
-                           np.zeros((1, 1)), horizon=0.05, step=1e-4)
+                           np.zeros((1, 1)), OU_GRID, step=1e-4)
         t = tl.times[200]
         np.testing.assert_allclose(cross_covariance(tl, t, t), tl.V[200])
 
     def test_ou_exponential_decay(self):
         tl = solve_moments(ou_spec(), np.array([OU_RHO]), np.zeros(1),
-                           np.zeros((1, 1)), horizon=0.05, step=1e-4)
+                           np.zeros((1, 1)), OU_GRID, step=1e-4)
         s, t = tl.times[100], tl.times[400]
         exact = tl.V[100, 0, 0] * np.exp(OU_A * (t - s))
         np.testing.assert_allclose(cross_covariance(tl, s, t)[0, 0], exact,
@@ -119,19 +158,21 @@ class TestCrossCovariance:
 
     def test_order_and_grid_validation(self):
         tl = solve_moments(ou_spec(), np.array([OU_RHO]), np.zeros(1),
-                           np.zeros((1, 1)), horizon=0.05, step=1e-4)
+                           np.zeros((1, 1)), OU_GRID, step=1e-4)
         with pytest.raises(ValueError):
             cross_covariance(tl, tl.times[10], tl.times[5])
         with pytest.raises(ValueError):
             fundamental_solution(tl, tl.times[10], tl.times[5])
         with pytest.raises(ValueError):
             tl.index_of(0.05 + 1.0)
+        with pytest.raises(ValueError):  # between two grid points
+            tl.index_of(0.5 * (tl.times[10] + tl.times[11]))
 
 
 class TestFundamentalSolution:
     def test_ou_from_a_later_start(self):
         tl = solve_moments(ou_spec(), np.array([OU_RHO]), np.zeros(1),
-                           np.zeros((1, 1)), horizon=0.05, step=1e-4)
+                           np.zeros((1, 1)), OU_GRID, step=1e-4)
         s = tl.times[100]
         for k in (100, 250, 500):
             t = tl.times[k]
@@ -142,7 +183,8 @@ class TestFundamentalSolution:
         # Gamma(s, t) = V(s) Phi(t, s)^T on a nonlinear instance
         spec = SegmentSpec.uniform(4, 0.5, F, 1400.0, 1200.0)
         tl = solve_moments(spec, np.full(4, 20.0), np.zeros(4),
-                           np.diag([1.0, 2.0, 3.0, 4.0]), horizon=0.1)
+                           np.diag([1.0, 2.0, 3.0, 4.0]),
+                           np.linspace(0.0, 0.1, 101))
         s, t = tl.times[20], tl.times[80]
         phi = fundamental_solution(tl, s, t)
         np.testing.assert_allclose(cross_covariance(tl, s, t), tl.V[20] @ phi.T,
@@ -208,6 +250,10 @@ class TestCumulativeMoments:
         spec = SegmentSpec.uniform(2, 1.0, F, 800.0, 1800.0)
         with pytest.raises(ValueError):
             solve_cumulative_moments(spec, np.full(2, 10.0), [0.0, 0.1, 0.1])
+        for solve in all_solvers(spec, np.full(2, 10.0)):
+            for grid in ([0.0, 0.1, 0.1], [0.0, 0.2, 0.1], [], 0.1):
+                with pytest.raises(ValueError):
+                    solve(grid)
 
     def test_mean_counts_match_fluid_flow(self):
         # stationary free flow: every boundary carries lam, so the mean
@@ -258,7 +304,8 @@ class TestInvariants:
     @given(segments())
     def test_covariance_symmetric_psd_at_every_step(self, case):
         spec, rho, V0 = case
-        tl = solve_moments(spec, rho, np.zeros(len(rho)), V0, horizon=0.1)
+        tl = solve_moments(spec, rho, np.zeros(len(rho)), V0,
+                           np.linspace(0.0, 0.1, 101))
         for V in tl.V:
             assert_symmetric_psd(V)
 
@@ -281,7 +328,8 @@ class TestStepSplitting:
         # and a whole step would leave V = -193 (found by TestInvariants)
         spec = SegmentSpec.uniform(1, 0.1, TC, (0.0, 0.0), (233.0, 0.0))
         tl = solve_moments(spec, np.array([1.5 / TC.params.L1, 0.0]),
-                           np.zeros(2), np.zeros((2, 2)), horizon=0.1)
+                           np.zeros(2), np.zeros((2, 2)),
+                           np.linspace(0.0, 0.1, 101))
         split = [k for k, taken in enumerate(tl.substeps) if len(taken) > 1]
         assert split
         for V in tl.V:
@@ -299,7 +347,7 @@ class TestStepSplitting:
         sys.rate_jacobian = lambda rho: np.full((sys.n_trans, sys.n_state), np.nan)
         with pytest.raises(FloatingPointError):
             solve_moments(sys, np.full(2, 10.0), np.zeros(2), np.zeros((2, 2)),
-                          horizon=0.01)
+                          np.linspace(0.0, 0.01, 11))
 
 
 class TestExactSteps:

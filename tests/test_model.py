@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gaussctm.cli import example_network
 from gaussctm.flux import DaganzoFlux, DaganzoParams, TwoClassFlux, TwoClassParams
@@ -21,8 +22,41 @@ from gaussctm.model import (
 F = DaganzoFlux(DaganzoParams(v_f=80.0, w=16.0, rho_max=108.0, q_max=1800.0))
 
 
+FAST = DaganzoFlux(DaganzoParams(v_f=100.0, w=20.0, rho_max=120.0, q_max=2000.0))
+TC = TwoClassFlux(TwoClassParams(v_f1=108.0, v_f2=79.2, v_c=61.2, L1=0.0065,
+                                 L2=0.0165, N=3, beta=0.25))
+
+
 def seg(d=3, ell=1.0, lam=800.0, nu=1800.0, flux=F):
     return SegmentSpec.uniform(d, ell, flux, lam, nu)
+
+
+@st.composite
+def systems_and_states(draw):
+    """A Daganzo segment, a two-class segment or the example network of
+    mixed road fluxes, and a state inside its domain (for two classes,
+    total occupancy at most the lane count)."""
+    unit, rate = st.floats(0.0, 1.0), st.floats(0.0, 3000.0)
+    d, ell = draw(st.integers(1, 4)), draw(st.floats(0.05, 2.0))
+    kind = draw(st.sampled_from(["daganzo", "two-class", "network"]))
+    if kind == "network":
+        fluxes = {r: draw(st.sampled_from([F, FAST]))
+                  for r in ("r1", "r2", "r3", "r4", "r5", "r6")}
+        splits = [draw(st.floats(0.05, 0.95)) for _ in range(4)]
+        sys = example_network(d, ell, fluxes, *splits, draw(rate),
+                              draw(rate)).system()
+    elif kind == "daganzo":
+        sys = seg(d, ell, draw(rate), draw(rate)).system()
+    else:
+        sys = SegmentSpec.uniform(d, ell, TC, (draw(rate), draw(rate)),
+                                  (draw(rate), draw(rate))).system()
+    if kind != "two-class":
+        return sys, np.array([draw(unit) for _ in range(sys.n_state)]) * sys.rho_jam
+    rho = []
+    for _ in range(d):
+        occ, share = draw(unit) * TC.params.N, draw(unit)
+        rho += [occ * (1.0 - share) / TC.params.L1, occ * share / TC.params.L2]
+    return sys, np.minimum(rho, sys.rho_jam)
 
 
 class TestSegmentSpec:
@@ -111,15 +145,23 @@ class TestDrift:
         f = drift(np.zeros(3), spec)
         np.testing.assert_allclose(f, [800.0, 0.0, 0.0])
 
-    def test_mass_conservation(self):
-        spec = seg(d=4, ell=0.5, lam=1400.0, nu=1200.0)
-        rng = np.random.default_rng(0)
-        sys = spec.system()
-        for _ in range(50):
-            rho = rng.uniform(0.0, 108.0, 4)
+    @settings(max_examples=150, deadline=None)
+    @given(systems_and_states())
+    @example((seg(d=4, ell=0.5, lam=1400.0, nu=1200.0).system(),
+              np.random.default_rng(0).uniform(0.0, 108.0, (50, 4))))
+    def test_mass_conservation(self, case):
+        # per class: sum over cells of l F(rho) = arrivals - departures
+        sys, states = case
+        cls = np.arange(sys.n_state) % sys.m
+        arrivals, departures = sys.src < 0, sys.dst < 0
+        for rho in np.atleast_2d(states):
             q = sys.rates(rho)
-            total_rate = sys.lengths @ sys.drift(rho)
-            np.testing.assert_allclose(total_rate, q[0] - q[-1], atol=1e-9)
+            held = sys.state_lengths * sys.drift(rho)
+            for c in range(sys.m):
+                inflow = q[arrivals & (cls[sys.dst] == c)].sum()
+                outflow = q[departures & (cls[sys.src] == c)].sum()
+                np.testing.assert_allclose(held[cls == c].sum(), inflow - outflow,
+                                           rtol=1e-12, atol=1e-9)
 
     def test_jacobian_finite_differences(self):
         spec = seg(d=4, lam=1400.0, nu=1200.0)
