@@ -1,15 +1,18 @@
 """Static segment/network specifications and their assembled dynamics.
 
-A specification is compiled into a :class:`TransitionSystem`: a list of
-unit-vehicle transitions, each moving one vehicle between two cells (or
-across the boundary), together with the state-dependent rate of each
-transition and its gradient.  Everything downstream (exact simulation,
-fluid/diffusion ODEs, stationary analysis) works off this one object.
+A specification is compiled into a :class:`TransitionSystem`: flat
+arrays of unit-vehicle transitions, each moving one vehicle from a
+source to a destination cell (-1 across the boundary), together with
+the state-dependent rate of each transition and its gradient.
+Everything downstream (exact simulation, fluid/diffusion ODEs,
+stationary analysis) works off this one object.
 
 The rates are compiled once into an array kernel (index and parameter
 arrays over transitions and junctions), so `rates(rho)` is a few
 `np.minimum` reductions over whole arrays and `rate_jacobian(rho)` fills
 a fixed sparsity pattern from masks marking each rate's active branch.
+The exact simulator evaluates a junction-free Daganzo kernel's
+expression one transition at a time from the same arrays.
 At a kink, links and the two-class flux use a slope only when its branch
 is strictly active, as `flux` does; Daganzo's (1995) diverges and merges
 average the slopes of tied candidates, keeping symmetric branches
@@ -51,26 +54,12 @@ class NetworkConfigError(ValueError):
     """Inconsistent junction wiring, routing parameters or road flux."""
 
 
-class RateBlock:
-    """Transitions that the event-driven simulator refreshes together,
-    with the state entries their rates depend on.  rate_py maps a plain
-    list of densities to the group's rates; without one, the simulator
-    reads the group's slice of the array rates."""
-
-    def __init__(self, srcs, dsts, depends, labels, rate_py=None):
-        self.srcs = srcs
-        self.dsts = dsts
-        self.depends = tuple(depends)
-        self.labels = labels
-        self.rate_py = rate_py
-        self.offset = 0  # first transition index, set by TransitionSystem
-
-
 class TransitionSystem:
     """Cells plus unit-vehicle transitions with state-dependent rates,
     computed by `kernel` (see the module docstring)."""
 
-    def __init__(self, lengths, m, rho_jam, blocks, kernel, cell_labels=None):
+    def __init__(self, lengths, m, rho_jam, src, dst, labels, kernel,
+                 cell_labels=None):
         self.m = m
         self.n_cells = len(lengths)
         self.lengths = np.asarray(lengths, dtype=float)
@@ -79,19 +68,12 @@ class TransitionSystem:
         self.state_lengths = np.repeat(self.lengths, m)
         self.rho_jam = np.asarray(rho_jam, dtype=float)
         self.x_jam = np.rint(self.rho_jam * self.state_lengths).astype(int)
-        self.blocks = blocks
         self.cell_labels = cell_labels
         self.kernel = kernel
 
-        srcs, dsts, labels = [], [], []
-        for b in blocks:
-            b.offset = len(srcs)
-            srcs.extend(b.srcs)
-            dsts.extend(b.dsts)
-            labels.extend(b.labels)
-        self.n_trans = len(srcs)
-        self.src = np.array([-1 if s is None else s for s in srcs], dtype=int)
-        self.dst = np.array([-1 if d is None else d for d in dsts], dtype=int)
+        self.n_trans = len(src)
+        self.src = np.array([-1 if s is None else s for s in src], dtype=int)
+        self.dst = np.array([-1 if d is None else d for d in dst], dtype=int)
         self.labels = labels
         self._jac_index = kernel.rows * self.n_state + kernel.cols
 
@@ -102,12 +84,6 @@ class TransitionSystem:
         self.H = H
         self.L = np.diag(1.0 / self.state_lengths)
         self.LH = H / self.state_lengths[:, None]
-
-        # state index -> blocks whose rate depends on it (simulator use)
-        self.state_to_blocks = [[] for _ in range(self.n_state)]
-        for bi, b in enumerate(blocks):
-            for s in b.depends:
-                self.state_to_blocks[s].append(bi)
 
     def system(self):
         """The system itself: solvers call `spec.system()` on either."""
@@ -349,23 +325,12 @@ class SegmentSpec:
         return build_segment_system(self)
 
 
-def _daganzo_rate_py(p, b, d, lam0, nu0):
-    """Scalar rate of segment boundary b for the event-driven simulator."""
-    if b == 0:
-        return lambda rl: [min(lam0, p.w * (p.rho_max - rl[0]), p.q_max)]
-    i = b - 1
-    if b == d:
-        return lambda rl: [min(p.v_f * rl[i], p.q_max, nu0)]
-    return lambda rl: [min(p.v_f * rl[i], p.w * (p.rho_max - rl[i + 1]), p.q_max)]
-
-
 def build_segment_system(spec: SegmentSpec) -> TransitionSystem:
     f = spec.flux
     m, d = f.m, spec.d
     lam = np.asarray(spec.lam, dtype=float)
     nu = np.asarray(spec.nu, dtype=float)
-    daganzo = isinstance(f, DaganzoFlux)
-    if daganzo:
+    if isinstance(f, DaganzoFlux):
         p = f.params
         caps = [min(lam[0], p.q_max)] + [p.q_max] * (d - 1) + [min(nu[0], p.q_max)]
         kernel = _DaganzoKernel([(b - 1 if b else None, b if b < d else None, p, cap)
@@ -375,16 +340,13 @@ def build_segment_system(spec: SegmentSpec) -> TransitionSystem:
     else:
         raise TypeError(f"no array kernel for {type(f).__name__}")
 
-    blocks = []
-    for b in range(d + 1):
-        srcs = [None] * m if b == 0 else [(b - 1) * m + j for j in range(m)]
-        dsts = [None] * m if b == d else [b * m + j for j in range(m)]
-        rate_py = _daganzo_rate_py(p, b, d, float(lam[0]), float(nu[0])) if daganzo else None
-        blocks.append(RateBlock(srcs, dsts, [s for s in srcs + dsts if s is not None],
-                                [f"q[{b},{j + 1}]" for j in range(m)], rate_py))
-
-    rho_jam = np.tile(f.rho_jam, d)
-    return TransitionSystem(spec.lengths, m, rho_jam, blocks, kernel)
+    # boundary b, class j: cell b-1 -> cell b, None beyond either end
+    bj = [(b, j) for b in range(d + 1) for j in range(m)]
+    src = [(b - 1) * m + j if b else None for b, j in bj]
+    dst = [b * m + j if b < d else None for b, j in bj]
+    labels = [f"q[{b},{j + 1}]" for b, j in bj]
+    return TransitionSystem(spec.lengths, m, np.tile(f.rho_jam, d), src, dst,
+                            labels, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -477,15 +439,13 @@ def build_network_system(net: NetworkSpec) -> TransitionSystem:
             cell_labels.append(f"{r.name}[{i + 1}]")
         last[r.name] = len(lengths) - 1
 
-    blocks, links = [], []
+    links, src, dst, labels = [], [], [], []
 
-    def block(srcs, dsts, labels):
-        cells = [c for c in srcs + dsts if c is not None]
-        blocks.append(RateBlock(srcs, dsts, dict.fromkeys(cells), labels))
-
-    def link(src, dst, p, label, bound=np.inf):
-        links.append((src, dst, p, min(bound, p.q_max)))
-        block([src], [dst], [label])
+    def link(s, d, p, label, bound=np.inf):
+        links.append((s, d, p, min(bound, p.q_max)))
+        src.append(s)
+        dst.append(d)
+        labels.append(label)
 
     # intra-road links and explicit road-to-road links (downstream flux)
     for r in net.roads:
@@ -506,17 +466,18 @@ def build_network_system(net: NetworkSpec) -> TransitionSystem:
     for dv in net.diverges:
         diverges.append((cand(dv.upstream, True),
                          [(cand(b, False), p) for b, p in dv.branches]))
-        block([last[dv.upstream]] * len(dv.branches),
-              [first[b] for b, _ in dv.branches],
-              [f"{dv.upstream}->{b}" for b, _ in dv.branches])
+        src += [last[dv.upstream]] * len(dv.branches)
+        dst += [first[b] for b, _ in dv.branches]
+        labels += [f"{dv.upstream}->{b}" for b, _ in dv.branches]
     for mg in net.merges:
         (ra, pa), (rb, pb) = mg.upstreams
         merges.append((cand(ra, True), cand(rb, True), cand(mg.downstream, False),
                        (pa, pb)))
-        block([last[ra], last[rb]], [first[mg.downstream]] * 2,
-              [f"{ra}->{mg.downstream}", f"{rb}->{mg.downstream}"])
+        src += [last[ra], last[rb]]
+        dst += [first[mg.downstream]] * 2
+        labels += [f"{ra}->{mg.downstream}", f"{rb}->{mg.downstream}"]
 
-    return TransitionSystem(lengths, 1, rho_jam, blocks,
+    return TransitionSystem(lengths, 1, rho_jam, src, dst, labels,
                             _DaganzoKernel(links, diverges, merges), cell_labels)
 
 

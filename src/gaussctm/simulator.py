@@ -3,20 +3,34 @@
 Ground truth for the Gaussian approximations: the state is the integer
 vector of vehicle counts per (cell, class); each transition moves one
 vehicle, with exponential holding times at the current total rate and
-the next transition drawn proportionally to its rate.  Only the rate
-blocks that depend on the changed cells are recomputed after an event.
+the next transition drawn proportionally to its rate (Gillespie's direct
+method), from exponential and uniform variates drawn in blocks.  For a
+Daganzo kernel of links only (a segment) the loop evaluates the kernel's
+expression per transition and refreshes, after an event, only the rates
+that read the changed cells (Gibson & Bruck 2000); any other kernel
+gives one whole-array `rates` call per event.  A run records the event
+times, the fired transitions and the boundary rate sums; the counts are
+derived from these when first read.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
+from operator import itemgetter
 
 import numpy as np
+
+from .model import _DaganzoKernel
 
 __all__ = ["SimConfig", "Trajectory", "SimulationError", "simulate",
            "estimate_throughput", "ensemble_moments", "EnsembleMoments"]
 
-_RESUM_EVERY = 4096  # events between full re-summations of the total rate
+# variates per generator call, doubling from the first to the last so
+# that short runs do not draw thousands they never use
+_FIRST_BLOCK, _BLOCK = 256, 4096
 
 
 @dataclass(frozen=True)
@@ -24,15 +38,12 @@ class SimConfig:
     horizon: float  # h
     seed: int = 0
     replications: int = 1
-    warmup: float = 0.0  # h, discarded before estimation windows
 
     def __post_init__(self):
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
         if self.replications < 1:
             raise ValueError("need at least one replication")
-        if self.warmup < 0:
-            raise ValueError("warm-up must be nonnegative")
 
 
 class SimulationError(RuntimeError):
@@ -40,21 +51,31 @@ class SimulationError(RuntimeError):
 
 
 class Trajectory:
-    """One realization: event times, counts after each event, the index
-    of the transition fired at each event, and the piecewise-constant
-    boundary rates (for time-average flow estimators)."""
+    """One realization: event times, the index of the transition fired
+    at each event, and the piecewise-constant boundary rates (for
+    time-average flow estimators); the counts after each event follow
+    from the initial counts and the fired transitions."""
 
-    def __init__(self, system, times, counts, trans, arr_rate, dep_rate,
+    def __init__(self, system, x0, times, trans, arr_rate, dep_rate,
                  horizon, absorbed):
         self.system = system
+        self.x0 = x0
         self.times = np.asarray(times)  # t_0 = 0 plus one entry per event
-        self.counts = np.asarray(counts, dtype=np.int64)  # (n_times, n_state)
         self.trans = np.asarray(trans, dtype=np.int64)  # (n_events,)
         # rate on the interval [times[k], times[k+1]) (last one runs to horizon)
         self.arrival_rate = np.asarray(arr_rate)
         self.departure_rate = np.asarray(dep_rate)
         self.horizon = horizon
         self.absorbed = absorbed
+
+    @cached_property
+    def counts(self):
+        """Counts after each event, (n_times, n_state): x0 plus the
+        running sum of the fired transitions' columns of H."""
+        steps = np.empty((len(self.times), self.system.n_state), dtype=np.int64)
+        steps[0] = self.x0
+        steps[1:] = self.system.H.T[self.trans]
+        return np.cumsum(steps, axis=0, out=steps)
 
     @property
     def n_events(self):
@@ -79,6 +100,33 @@ class Trajectory:
         return Y
 
 
+def _link_rates(sys):
+    """For a Daganzo kernel of links only, per transition k the tuples
+    (i, idx, scale, off, sgn, cap of its sending candidate, then of its
+    receiving one) of every transition i whose rate reads k's source or
+    destination cell (from the kernel's Jacobian sparsity), and last the
+    tuples of all transitions.  None for any other kernel."""
+    kern = sys.kernel
+    if not isinstance(kern, _DaganzoKernel) or kern.nd or kern.nm:
+        return None
+    idx = kern.idx.reshape(-1, 2).tolist()
+    par = np.stack([kern.scale, kern.off, kern.sgn, kern.cap],
+                   axis=1).reshape(-1, 2, 4).tolist()
+    rows = [(k, i0, *a, i1, *b) for k, ((i0, i1), (a, b)) in enumerate(zip(idx, par))]
+    reads = [set() for _ in range(sys.n_state + 1)]  # reads[-1]: the boundary
+    for r, c in zip(kern.rows.tolist(), kern.cols.tolist()):
+        reads[c].add(r)
+    return [[rows[k] for k in sorted(reads[s] | reads[d])]
+            for s, d in zip(sys.src.tolist(), sys.dst.tolist())] + [rows]
+
+
+def _sum_over(idx):
+    """q -> the sum of q[i] over idx, in order."""
+    if len(idx) == 1:
+        return itemgetter(idx[0])
+    return lambda q: sum([q[i] for i in idx], 0.0)
+
+
 def simulate(spec, initial_counts, cfg: SimConfig, rng=None) -> Trajectory:
     """Run one exact realization over [0, cfg.horizon].
 
@@ -98,85 +146,73 @@ def simulate(spec, initial_counts, cfg: SimConfig, rng=None) -> Trajectory:
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 
-    inv_len = [1.0 / l for l in sys.state_lengths]
-    counts = [int(c) for c in x0]
+    n = sys.n_trans
+    inv_len = (1.0 / sys.state_lengths).tolist()
+    counts = x0.tolist()
     rho = [c * il for c, il in zip(counts, inv_len)]
-    x_jam = [int(v) for v in sys.x_jam]
-    src = [None if s < 0 else int(s) for s in sys.src]
-    dst = [None if d < 0 else int(d) for d in sys.dst]
-    arr_idx = [t for t in range(sys.n_trans) if src[t] is None]
-    dep_idx = [t for t in range(sys.n_trans) if dst[t] is None]
-    # (first transition, rate_py, end) per block; blocks without rate_py
-    # read their slice of one array rates call per event
-    blocks = [(b.offset, b.rate_py, b.offset + len(b.srcs)) for b in sys.blocks]
-    array_rates = any(f is None for _, f, _ in blocks)
-    state_to_blocks = sys.state_to_blocks
+    x_jam = sys.x_jam.tolist()
+    src, dst = sys.src.tolist(), sys.dst.tolist()  # -1 at the boundary
+    arr_sum = _sum_over(np.flatnonzero(sys.src < 0).tolist())
+    dep_sum = _sum_over(np.flatnonzero(sys.dst < 0).tolist())
+    after = _link_rates(sys)  # after[-1]: before the first event, every rate
+    q = [0.0] * n
 
-    q = [0.0] * sys.n_trans
-    total = 0.0
-    times, states, trans, arr_rate, dep_rate = [], [], [], [], []
-    t = 0.0
-    horizon = cfg.horizon
-    exp = rng.exponential
-    uni = rng.random
+    times, trans, arr_rate, dep_rate = [0.0], [], [], []
+    t, horizon = 0.0, cfg.horizon
+    block = _FIRST_BLOCK // 2
+    exps = unis = ()
+    j = block
+    k = -1
     absorbed = False
-    n_ev = 0
-    touched = range(sys.n_state)  # at the start, every block is computed
     while True:
-        # refresh only the rate blocks that depend on the changed cells
-        seen = set()
-        qa = sys.rates(np.array(rho)).tolist() if array_rates else None
-        for cell in touched:
-            for bi in state_to_blocks[cell]:
-                if bi in seen:
-                    continue
-                seen.add(bi)
-                o, f, e = blocks[bi]
-                for j, v in enumerate(f(rho) if f else qa[o:e], o):
-                    v = v if v > 0.0 else 0.0
-                    total += v - q[j]
-                    q[j] = v
-        if n_ev % _RESUM_EVERY == 0:
-            total = sum(q)  # squash round-off drift in the running sum
-        times.append(t)
-        states.append(list(counts))
-        arr_rate.append(sum(q[i] for i in arr_idx))
-        dep_rate.append(sum(q[i] for i in dep_idx))
-
+        if after is None:
+            q = sys.rates(np.array(rho)).tolist()
+        else:
+            for i, i0, a0, o0, s0, c0, i1, a1, o1, s1, c1 in after[k]:
+                # max(0, min(min(f0, c0), min(f1, c1))) without calls
+                f0 = a0 * (o0 + s0 * rho[i0])
+                f1 = a1 * (o1 + s1 * rho[i1])
+                v = f0 if f0 < c0 else c0
+                v = v if v < f1 else f1
+                v = v if v < c1 else c1
+                q[i] = v if v > 0.0 else 0.0
+        cum = list(accumulate(q, initial=0.0))  # exact running sums
+        total = cum[-1]
+        arr_rate.append(arr_sum(q))
+        dep_rate.append(dep_sum(q))
         if total <= 1e-13:
             absorbed = True
             break
-        t += exp(1.0 / total)
+        if j == block:
+            block = min(2 * block, _BLOCK)
+            exps = rng.standard_exponential(block).tolist()
+            unis = rng.random(block).tolist()
+            j = 0
+        t += exps[j] / total
         if t >= horizon:
             break
-        # proportional selection by linear scan
-        u = uni() * total
-        acc = 0.0
-        k = sys.n_trans - 1
-        for i in range(sys.n_trans):
-            acc += q[i]
-            if u < acc:
-                k = i
-                break
+        # proportional selection: the first k with u total < cum[k + 1]
+        u = unis[j] * total
+        j += 1
+        k = bisect_right(cum, u) - 1
+        if k == n:  # u rounded up to the total: the last positive rate
+            k = bisect_left(cum, total) - 1
+        times.append(t)
         trans.append(k)
         s, d = src[k], dst[k]
-        touched = []
-        if s is not None:
+        if s >= 0:
             counts[s] -= 1
             if counts[s] < 0:
                 raise SimulationError(f"{sys.labels[k]}: state {s} below 0")
             rho[s] = counts[s] * inv_len[s]
-            touched.append(s)
-        if d is not None:
+        if d >= 0:
             counts[d] += 1
             if counts[d] > x_jam[d]:
                 raise SimulationError(f"{sys.labels[k]}: state {d} above jam")
             rho[d] = counts[d] * inv_len[d]
-            touched.append(d)
-        n_ev += 1
 
-    return Trajectory(sys, times, states, trans, arr_rate, dep_rate,
-                      horizon, absorbed)
+    return Trajectory(sys, x0, times, trans, arr_rate, dep_rate, horizon,
+                      absorbed)
 
 
 def estimate_throughput(traj: Trajectory, t_start, t_end) -> float:

@@ -47,6 +47,10 @@ PTC_MAX_ITER = 1000
 # J counts as Hurwitz when every eigenvalue has
 # Re < -HURWITZ_MARGIN max(1, ||J||_inf).
 HURWITZ_MARGIN = 1e-9
+# Euler steps without a new minimum of the step distance, once mu has
+# stopped moving, after which the distance is taken to sit on V's
+# rounding floor.
+STALL_STEPS = 1000
 
 
 class FixedPointError(RuntimeError):
@@ -180,7 +184,10 @@ def _euler(sys, dt, tol, max_iter, note=""):
     diverged), or once mu stops moving while the then linear update of
     V does not contract: mu's update does not read V, so from there on
     V <- V + dt (J V + V J' + B B') with J and B fixed, whose rates are
-    |1 + dt (l_i + l_j)| over the eigenvalues l of J."""
+    |1 + dt (l_i + l_j)| over the eigenvalues l of J.  A contracting
+    update shrinks the distance at every step until rounding noise in V
+    sets a floor; if the distance makes no new minimum for STALL_STEPS
+    steps, that floor lies above tol and it raises too."""
     ns = sys.n_state
     LH = sys.LH
     mu = np.zeros(ns)
@@ -205,6 +212,7 @@ def _euler(sys, dt, tol, max_iter, note=""):
                     f"iteration cannot converge: mu is fixed from step {it} "
                     f"and the V update does not contract (rate {rate:.6f})"
                     + note, float(np.abs(F).max()), float(np.abs(Vdot).max()))
+            floor, floor_it = np.inf, it
         mu = new
         V = V + dV
         dist = np.sqrt(np.dot(dmu, dmu) + np.sum(dV * dV))
@@ -217,6 +225,15 @@ def _euler(sys, dt, tol, max_iter, note=""):
                 sys, mu, 0.5 * (V + V.T),
                 float(np.abs(sys.drift(mu)).max()),
                 float(np.abs(Vdot).max()), it, "euler")
+        if not moving:
+            if dist < floor:
+                floor, floor_it = dist, it
+            elif it - floor_it >= STALL_STEPS:
+                raise FixedPointError(
+                    f"iteration cannot reach tol {tol:.3e}: mu is fixed and the "
+                    f"step distance floors at {floor:.3e} (no new minimum "
+                    f"since step {floor_it})" + note,
+                    float(np.abs(F).max()), float(np.abs(Vdot).max()))
     raise FixedPointError(
         f"no fixed point after {max_iter} iterations "
         f"(last step distance {dist:.3e})" + note,

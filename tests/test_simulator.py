@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaussctm.cli import example_network
 from gaussctm.flux import DaganzoFlux, DaganzoParams
@@ -25,8 +28,6 @@ class TestSimConfig:
             SimConfig(horizon=0.0)
         with pytest.raises(ValueError):
             SimConfig(horizon=1.0, replications=0)
-        with pytest.raises(ValueError):
-            SimConfig(horizon=1.0, warmup=-0.1)
 
 
 class TestSimulate:
@@ -92,27 +93,35 @@ class TestSimulate:
         assert Y[-1].sum() == traj.n_events
         assert np.all(np.diff(Y, axis=0) >= 0)
 
-    def test_rate_py_matches_rate_np(self):
-        sys = seg(d=4, ell=0.5, lam=1400.0, nu=1200.0).system()
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            counts = rng.integers(0, sys.x_jam + 1)
-            rho = counts / sys.state_lengths
-            q_np = sys.rates(rho)
-            q_py = []
-            for b in sys.blocks:
-                q_py.extend(b.rate_py(list(rho)))
-            np.testing.assert_allclose(np.maximum(q_py, 0.0), q_np, atol=1e-9)
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(5, 162), st.floats(0.0, 3000.0),
+           st.floats(0.0, 3000.0), st.lists(st.floats(0.0, 1.0), min_size=5,
+                                            max_size=5), st.integers(0, 2**32 - 1))
+    def test_recorded_rates_match_array_rates(self, d, x_jam, lam, nu, fill, seed):
+        # the loop's scalar link rates are the kernel's, bit for bit.  l is
+        # drawn so that a cell holds a whole x_jam vehicles at jam density:
+        # where rho_max l rounds down, the model lets a count pass x_jam
+        sys = seg(d=d, ell=x_jam / 108.0, lam=lam, nu=nu).system()
+        x0 = np.rint(np.array(fill[:d]) * sys.x_jam).astype(int)
+        traj = simulate(sys, x0, SimConfig(horizon=0.05, seed=seed))
+        assert np.all(traj.counts >= 0) and np.all(traj.counts <= sys.x_jam)
+        np.testing.assert_array_equal(traj.counts[0], x0)
+        for k, counts in enumerate(traj.counts):
+            q = sys.rates(counts * (1 / sys.state_lengths))
+            assert traj.arrival_rate[k] == q[sys.src < 0].sum()
+            assert traj.departure_rate[k] == q[sys.dst < 0].sum()
+            if k < traj.n_events:
+                assert q[traj.trans[k]] > 0.0
 
     @pytest.mark.parametrize("start,rates", [(0, (0.0, 1000.0)),
                                              (108, (1000.0, 0.0))])
     def test_inconsistent_rates_raise(self, start, rates):
-        # constant rates that ignore the counts: the only possible first
+        # a kernel whose rates ignore the counts: the only possible first
         # event empties an empty cell or fills a jammed one
         sys = seg(d=1).system()
-        for b, r in zip(sys.blocks, rates):
-            b.rate_py = lambda rl, r=r: [r]
-        with pytest.raises(SimulationError):
+        sys.kernel = SimpleNamespace(rates=lambda rho: np.array(rates))
+        with pytest.raises(SimulationError,
+                           match="below 0" if start == 0 else "above jam"):
             simulate(sys, [start], SimConfig(horizon=1.0, seed=0))
 
     def test_array_rates_once_per_event(self):

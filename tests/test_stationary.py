@@ -136,6 +136,17 @@ class TestContinuation:
             stationary_fixed_point(SegmentSpec.uniform(5, 0.04, F, 1200.0, 1200.0))
         assert time.perf_counter() - t0 < 1.0
 
+    def test_rounding_floor_above_tol_fails_fast(self):
+        # mu is fixed from step 32, and the step distance never falls below
+        # 2.4e-11, V's rounding floor; without the stall check this ran to
+        # max_iter (about 14 min)
+        t0 = time.perf_counter()
+        with pytest.raises(FixedPointError,
+                           match=r"reach tol 1\.000e-11.*floors at \d\.\d+e-11"):
+            stationary._euler(SegmentSpec.uniform(4, 0.1, F, 1412.9, 2165.4).system(),
+                              0.001, 1e-11, 2_000_000)
+        assert time.perf_counter() - t0 < 2.0
+
     def test_divergence_names_the_cells(self):
         with pytest.raises(FixedPointError, match=r"diverged.*cells \[5\]"):
             stationary_fixed_point(SegmentSpec.uniform(5, 0.06, F, 1200.0, 1200.0))
