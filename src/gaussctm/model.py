@@ -11,6 +11,10 @@ The rates are compiled once into an array kernel (index and parameter
 arrays over transitions and junctions), so `rates(rho)` is a few
 `np.minimum` reductions over whole arrays and `rate_jacobian(rho)` fills
 a fixed sparsity pattern from masks marking each rate's active branch.
+The Daganzo flux is piecewise linear, so its Jacobian is piecewise
+constant: a function of those masks alone (the branch regime).  Each
+system memoizes it per regime and hands out read-only arrays; the
+two-class shares vary continuously, so that Jacobian is computed anew.
 The exact simulator evaluates a junction-free Daganzo kernel's
 expression one transition at a time from the same arrays.
 At a kink, links and the two-class flux use a slope only when its branch
@@ -67,9 +71,16 @@ class TransitionSystem:
         # per state index: cell length and jam density of that (cell, class)
         self.state_lengths = np.repeat(self.lengths, m)
         self.rho_jam = np.asarray(rho_jam, dtype=float)
-        self.x_jam = np.rint(self.rho_jam * self.state_lengths).astype(int)
+        # the smallest count at which the clipped receiving rate is zero,
+        # read as whole within 1e-9 relative
+        jam = self.rho_jam * self.state_lengths
+        whole = np.rint(jam)
+        self.x_jam = np.where(np.abs(jam - whole) <= 1e-9 * jam, whole,
+                              np.ceil(jam)).astype(int)
         self.cell_labels = cell_labels
         self.kernel = kernel
+        # rate_jacobian by branch regime, for kernels that have one
+        self._jac_memo = {} if hasattr(kernel, "regime") else None
 
         self.n_trans = len(src)
         self.src = np.array([-1 if s is None else s for s in src], dtype=int)
@@ -102,8 +113,21 @@ class TransitionSystem:
         return q
 
     def rate_jacobian(self, rho):
-        dq = np.bincount(self._jac_index,
-                         weights=self.kernel.jacobian(np.asarray(rho, dtype=float)),
+        """d rates / d rho, (n_trans, n_state).  A Daganzo kernel's
+        Jacobian is piecewise constant, fixed by its branch regime: it is
+        computed once per regime and returned read-only thereafter."""
+        rho = np.asarray(rho, dtype=float)
+        if self._jac_memo is None:
+            return self._jacobian(rho)
+        key = self.kernel.regime(rho)
+        dq = self._jac_memo.get(key)
+        if dq is None:
+            dq = self._jac_memo[key] = self._jacobian(rho)
+            dq.flags.writeable = False
+        return dq
+
+    def _jacobian(self, rho):
+        dq = np.bincount(self._jac_index, weights=self.kernel.jacobian(rho),
                          minlength=self.n_trans * self.n_state)
         return dq.reshape(self.n_trans, self.n_state)
 
@@ -187,6 +211,29 @@ class _DaganzoKernel:
         med = np.maximum(np.minimum(D, c[1]), np.minimum(np.maximum(D, c[1]), c[2]))
         return free, c, med
 
+    def _masks(self, rho):
+        """The branch masks that fix the Jacobian: candidates below their
+        cap, the binding side of each link, the active candidates of each
+        diverge, and per merge whether it is free and which of its three
+        candidates equal the median (None without diverges or merges)."""
+        lin = self._lin(rho)
+        flow = np.minimum(lin, self.cap)
+        f = flow[:self.div_sl.start].reshape(-1, 2)
+        active = free = None
+        at_med = (None,) * 3
+        if self.nd:
+            vals = (flow[self.div_sl] / self.div).reshape(-1, self.K)
+            active = vals == vals.min(axis=1, keepdims=True)
+        if self.nm:
+            free, c, med = self._merge(flow[self.div_sl.stop:].reshape(-1, 3))
+            at_med = tuple(x == med for x in c)
+        return (lin < self.cap, f < f[:, ::-1], active, free) + at_med
+
+    def regime(self, rho):
+        """`_masks` as a bytes key: equal keys give bit-identical
+        Jacobians, since `jacobian` reads nothing else of rho."""
+        return b"".join([m.tobytes() for m in self._masks(rho) if m is not None])
+
     def rates(self, rho):
         flow = np.minimum(self._lin(rho), self.cap)
         parts = [flow[:self.div_sl.start].reshape(-1, 2).min(axis=1)]
@@ -200,25 +247,21 @@ class _DaganzoKernel:
         return np.concatenate(parts)
 
     def jacobian(self, rho):
-        lin = self._lin(rho)
-        flow = np.minimum(lin, self.cap)
-        slope = np.where(lin < self.cap, self.slope, 0.0)
-        f, s = (x[:self.div_sl.start].reshape(-1, 2) for x in (flow, slope))
-        parts = [np.where(f < f[:, ::-1], s, 0.0).ravel()[self.link_ent]]
+        below, order, active, free, *at_med = self._masks(rho)
+        slope = np.where(below, self.slope, 0.0)
+        s = slope[:self.div_sl.start].reshape(-1, 2)
+        parts = [np.where(order, s, 0.0).ravel()[self.link_ent]]
         if self.nd:
-            vals = (flow[self.div_sl] / self.div).reshape(-1, self.K)
-            active = vals == vals.min(axis=1, keepdims=True)
             avg = (np.where(active, (slope[self.div_sl] / self.div).reshape(-1, self.K), 0.0)
                    / active.sum(axis=1, keepdims=True))
             parts.append(self.ent_p * avg.ravel()[self.div_ent])
         if self.nm:
-            free, c, med = self._merge(flow[self.div_sl.stop:].reshape(-1, 3))
             s = slope[self.div_sl.stop:].reshape(-1, 3)
             dD, dR = s[:, :2], s[:, 2:]
             # active candidates; a free merge passes its own demand
-            a0 = (c[0] == med) | free
-            a1 = (c[1] == med) & ~free
-            a2 = (c[2] == med) & ~free
+            a0 = at_med[0] | free
+            a1 = at_med[1] & ~free
+            a2 = at_med[2] & ~free
             n = a0.astype(float) + a1 + a2
             out = np.empty(dD.shape + (3,))
             out[..., 0] = np.where(a0, dD, 0.0) / n

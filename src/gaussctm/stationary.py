@@ -176,15 +176,17 @@ def _critical_cells(sys, J):
     return [c + 1 for c in cells]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _euler(sys, dt, tol, max_iter, note=""):
     """Forward-Euler fixed-point iteration from (0, 0); stops when the
     Euclidean distance between consecutive stacked (mu, V) iterates
     drops below tol.  Raises FixedPointError, with `note` appended, as
     soon as that distance or V is no longer finite (the iteration has
-    diverged), or once mu stops moving while the then linear update of
-    V does not contract: mu's update does not read V, so from there on
-    V <- V + dt (J V + V J' + B B') with J and B fixed, whose rates are
-    |1 + dt (l_i + l_j)| over the eigenvalues l of J.  A contracting
+    diverged; numpy's overflow warnings are silenced, so that the error
+    is the only signal), or once mu stops moving while the then linear
+    update of V does not contract: mu's update does not read V, so from
+    there on V <- V + dt (J V + V J' + B B') with J and B fixed, whose
+    rates are |1 + dt (l_i + l_j)| over the eigenvalues l of J.  A contracting
     update shrinks the distance at every step until rounding noise in V
     sets a floor; if the distance makes no new minimum for STALL_STEPS
     steps, that floor lies above tol and it raises too."""

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaussctm import gaussian
+from gaussctm.cli import example_network
 from gaussctm.flux import DaganzoFlux, DaganzoParams, TwoClassFlux, TwoClassParams
 from gaussctm.gaussian import (
     cross_covariance,
@@ -131,6 +132,33 @@ class TestSolveMoments:
                      (solve_fluid(spec, rho0, fine)[1],
                       solve_fluid(spec, rho0, coarse)[1])):
             np.testing.assert_allclose(x[::10], y, rtol=1e-12, atol=1e-12)
+
+    def test_jacobian_memo_is_exact_on_the_asymmetric_network(self):
+        # the Daganzo Jacobian depends on the branch masks alone, so a
+        # solve that reads it from the per-regime memo equals, bit for
+        # bit, one that evaluates it afresh at every RK4 stage
+        def road(v_f):
+            return DaganzoFlux(DaganzoParams(v_f=v_f, w=20.0, rho_max=108.0,
+                                             q_max=1800.0))
+        base, fast, slow = road(80.0), road(100.0), road(60.0)
+        fluxes = {"r1": base, "r2": fast, "r3": fast, "r4": slow, "r5": slow,
+                  "r6": base}
+        net = example_network(5, 1.0, fluxes, 0.25, 0.75, 0.75, 0.5, 1800.0, 900.0)
+        memo, fresh = net.system(), net.system()
+        k, n = fresh.kernel, fresh.n_state
+
+        def no_memo(rho):
+            dq = np.bincount(k.rows * n + k.cols, weights=k.jacobian(rho),
+                             minlength=fresh.n_trans * n)
+            return dq.reshape(fresh.n_trans, n)
+        fresh.rate_jacobian = no_memo
+        grid = np.arange(0.0, 601.0, 100.0) / 3600.0
+        a, b = (solve_moments(s, np.zeros(n), np.ones(n), np.zeros((n, n)), grid)
+                for s in (memo, fresh))
+        assert len(memo._jac_memo) > 1 and not fresh._jac_memo
+        assert sum(map(len, a.substeps)) == 168  # 672 Jacobians
+        for x, y in ((a.rho, b.rho), (a.M, b.M), (a.V, b.V)):
+            assert x.tobytes() == y.tobytes()
 
     def test_long_run_matches_fixed_point(self):
         spec = SegmentSpec.uniform(5, 11.0 / 108.0, F, 1400.0, 1200.0)

@@ -309,6 +309,155 @@ def test_network_junction_ties_are_averaged():
 
 
 # ---------------------------------------------------------------------------
+# the Daganzo Jacobian memo: one entry per branch regime
+
+
+def fresh_jacobian(sys, rho):
+    """kernel.jacobian scattered into the dense pattern, past the memo."""
+    k = sys.kernel
+    dq = np.bincount(k.rows * sys.n_state + k.cols, weights=k.jacobian(rho),
+                     minlength=sys.n_trans * sys.n_state)
+    return dq.reshape(sys.n_trans, sys.n_state)
+
+
+def assert_memo_exact(sys, states):
+    """rate_jacobian along `states` equals a fresh evaluation bit for bit,
+    whether the memo misses or hits."""
+    for rho in states:
+        J = sys.rate_jacobian(rho)
+        assert J.tobytes() == fresh_jacobian(sys, rho).tobytes()
+        assert not J.flags.writeable
+    assert 1 <= len(sys._jac_memo) <= len(states)
+
+
+def capacity_snapped(rho, fluxes):
+    """rho rounded to multiples of each cell's capacity density
+    q_max / v_f, where demands reach capacity and candidates tie."""
+    rc = np.array([f.params.q_max / f.params.v_f for f in fluxes])
+    return np.minimum(np.rint(rho / rc) * rc, [f.params.rho_max for f in fluxes])
+
+
+@st.composite
+def walks(draw, n, density, cells=None):
+    """A state of n cells and up to 11 more, each redrawing one to three
+    cells of the one before (drawn from `cells` if given): like RK4
+    stages, neighbours share most branch masks and differ in a few."""
+    if cells is None:
+        cells = st.integers(0, n - 1)
+    rho = np.array(draw(st.lists(density, min_size=n, max_size=n)))
+    states = [rho]
+    for _ in range(draw(st.integers(0, 11))):
+        rho = rho.copy()
+        for i in draw(st.lists(cells, min_size=1, max_size=3)):
+            rho[i] = draw(density)
+        states.append(rho)
+    return states
+
+
+# free flow (10, 20), capacity (22.5), congestion (30, 60, 100) and jam:
+# link candidates below capacity on both sides in either order
+segment_walk_density = st.one_of(
+    st.sampled_from([0.0, 10.0, 20.0, 22.5, 30.0, 60.0, 100.0, 120.0]),
+    daganzo_density)
+
+
+@SETTINGS
+@given(st.integers(1, 6), bound, bound, st.booleans(), st.data())
+def test_memo_matches_fresh_jacobian_on_segments(d, lam, nu, snap, data):
+    sys = SegmentSpec.uniform(d, 0.5, DAG, lam, nu).system()
+    states = data.draw(walks(d, segment_walk_density))
+    if snap:
+        states = [capacity_snapped(rho, [DAG] * d) for rho in states]
+    assert_memo_exact(sys, states)
+
+
+@SETTINGS
+@given(st.sampled_from([0.25, 0.5, 0.75]), st.booleans(), st.booleans(), st.data())
+def test_memo_matches_fresh_jacobian_on_network(p12, asym, snap, data):
+    fluxes = None
+    if asym:
+        fluxes = {"r1": DAG, "r2": FAST, "r3": FAST, "r4": DAG, "r5": DAG, "r6": FAST}
+    net = example(p12, fluxes)
+    sys = net.system()
+    # mostly the cells that the diverges and the merge read
+    junction = [sys.cell_labels.index(c) for c in (
+        "r1[3]", "r2[1]", "r4[1]", "r2[3]", "r3[1]", "x2[1]", "r4[3]", "r5[1]",
+        "x4[1]", "r3[3]", "r5[3]", "r6[1]")]
+    cells = st.one_of(st.sampled_from(junction), st.integers(0, sys.n_state - 1))
+    states = data.draw(walks(sys.n_state, network_density, cells))
+    if snap:
+        by_road = {r.name: r.flux for r in net.roads}
+        cell_flux = [by_road[label.split("[")[0]] for label in sys.cell_labels]
+        states = [capacity_snapped(rho, cell_flux) for rho in states]
+    assert_memo_exact(sys, states)
+
+
+def test_one_regime_from_different_states():
+    sys = example().system()
+    # free flow everywhere, at different densities
+    a = np.full(sys.n_state, 10.0)
+    b = a + np.linspace(0.0, 1.0, sys.n_state)
+    assert not np.array_equal(sys.rates(a), sys.rates(b))
+    assert sys.kernel.regime(a) == sys.kernel.regime(b)
+    J = sys.rate_jacobian(a)
+    assert sys.rate_jacobian(b) is J
+    assert J.tobytes() == fresh_jacobian(sys, b).tobytes()
+    assert len(sys._jac_memo) == 1
+
+
+# pairs of states (as {cell: density} on an empty example network) whose
+# Jacobians differ in one kind of branch mask only; every candidate
+# flow stays below capacity in both
+MASK_PAIRS = {
+    # the link r1[1->2] passes 800 < 1200 or 1200 < 1600
+    "link-order": ({"r1[1]": 10.0, "r1[2]": 60.0}, {"r1[1]": 20.0, "r1[2]": 60.0}),
+    # r1 demands 800 against r2's supply / p12 = 2400 or 600
+    "diverge-active": ({"r1[3]": 10.0, "r2[1]": 60.0},
+                       {"r1[3]": 10.0, "r2[1]": 105.0}),
+    # demands 400 + 400 or 1000 + 1000 into a supply of 1600: each gets
+    # its demand, or the median p R = 800 of (1000, 600, 800)
+    "merge-free": ({"r3[3]": 5.0, "r5[3]": 5.0, "r6[1]": 40.0},
+                   {"r3[3]": 12.5, "r5[3]": 12.5, "r6[1]": 40.0}),
+    # r3 gets median(800, 400, 800), a tie, or median(600, 400, 800)
+    "merge-median": ({"r3[3]": 10.0, "r5[3]": 15.0, "r6[1]": 40.0},
+                     {"r3[3]": 7.5, "r5[3]": 15.0, "r6[1]": 40.0}),
+}
+
+
+@pytest.mark.parametrize("pair", MASK_PAIRS.values(), ids=MASK_PAIRS.keys())
+def test_each_branch_mask_splits_regimes(pair):
+    sys = example().system()
+    a, b = (np.zeros(sys.n_state) for _ in range(2))
+    for rho, cells in zip((a, b), pair):
+        for cell, v in cells.items():
+            rho[sys.cell_labels.index(cell)] = v
+    assert not np.array_equal(fresh_jacobian(sys, a), fresh_jacobian(sys, b))
+    assert sys.kernel.regime(a) != sys.kernel.regime(b)
+    assert_memo_exact(sys, [a, b, a, b])
+    assert len(sys._jac_memo) == 2
+
+
+def test_memo_entries_are_read_only():
+    sys = SegmentSpec.uniform(3, 0.5, DAG, 1200.0, 800.0).system()
+    rho = np.array([10.0, 22.5, 60.0])
+    J = sys.rate_jacobian(rho)
+    with pytest.raises(ValueError, match="read-only"):
+        J[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        J *= 2.0
+    assert sys.rate_jacobian(rho).tobytes() == fresh_jacobian(sys, rho).tobytes()
+
+
+def test_two_class_systems_have_no_memo():
+    sys = SegmentSpec.uniform(2, 0.5, TC_REAL, (1000.0, 200.0), (2000.0, 500.0)).system()
+    rho = np.array([20.0, 5.0, 40.0, 10.0])
+    J1, J2 = sys.rate_jacobian(rho), sys.rate_jacobian(rho)
+    assert J1 is not J2 and J1.flags.writeable
+    np.testing.assert_array_equal(J1, J2)
+    assert not hasattr(sys.kernel, "regime") and sys._jac_memo is None
+
+
+# ---------------------------------------------------------------------------
 # central differences away from kinks
 
 

@@ -1,8 +1,11 @@
+import configparser
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gaussctm.cli import example_network
+from gaussctm.cli import _num, _nums, example_network
 from gaussctm.flux import DaganzoFlux, DaganzoParams, TwoClassFlux, TwoClassParams
 from gaussctm.model import (
     Diverge,
@@ -76,6 +79,82 @@ class TestSegmentSpec:
         assert sys.n_trans == 6
         assert sys.labels[0] == "q[0,1]"
         assert sys.labels[-1] == "q[5,1]"
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def config_cells():
+    """(flux, cell length km) for every segment and road in `configs/`,
+    over every swept cell length and lane count."""
+    out = []
+    for path in sorted(CONFIGS.glob("*.ini")):
+        cfg = configparser.ConfigParser()
+        cfg.read(path)
+        for sec in cfg.values():
+            if "rho_max_veh_per_km" in sec:  # x_jam reads rho_max and l only
+                flux = DaganzoFlux(DaganzoParams(
+                    v_f=80.0, w=16.0, rho_max=_num(sec["rho_max_veh_per_km"]),
+                    q_max=1800.0))
+                lengths = (_nums(sec["cell_length_km"]) if "cell_length_km" in sec
+                           else _nums(cfg["sweep"]["cell_lengths_km"]))
+                out += [pytest.param(flux, ell,
+                                     id=f"{path.stem}-{sec.name}-l{ell:.4g}")
+                        for ell in lengths]
+            if "L_car_km" in sec:  # two-class control segment
+                for n in _nums(cfg["sweeps"]["n_lanes_values"]):
+                    flux = TwoClassFlux(TwoClassParams(
+                        v_f1=_num(sec["v_f_car_km_per_h"]),
+                        v_f2=_num(sec["v_f_truck_km_per_h"]),
+                        v_c=_num(sec["v_c_km_per_h"]), L1=_num(sec["L_car_km"]),
+                        L2=_num(sec["L_truck_km"]), N=int(n), beta=_num(sec["beta"])))
+                    ell = _num(cfg["segment"]["cell_length_km"])
+                    out.append(pytest.param(flux, ell,
+                                            id=f"{path.stem}-N{int(n)}-l{ell:.4g}"))
+    return out
+
+
+class TestJamCount:
+    """x_jam is the smallest count at which the receiving rate, clipped
+    at zero, is zero: ceil(rho_jam l), or rint where rho_jam l is whole
+    to 1e-9 relative."""
+
+    def test_arrivals_stop_at_a_fractional_jam_count(self):
+        # rho_max l = 20.25: at 20 vehicles the supply is still 21 veh/h
+        # (rint gave x_jam = 20, and a simulated arrival passed it)
+        sys = seg(d=1, ell=0.1875, lam=12.0, nu=2.0).system()
+        assert sys.x_jam.tolist() == [21]
+        assert sys.rates(np.array([20.0 / 0.1875]))[0] == 12.0
+        assert sys.rates(np.array([21.0 / 0.1875]))[0] == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.floats(0.01, 2.0),
+                     st.integers(1, 216).map(lambda k: k / 108.0)))
+    def test_smallest_count_with_zero_supply(self, ell):
+        sys = seg(d=1, ell=ell, lam=1e9, nu=0.0).system()
+        x = sys.x_jam[0]
+        assert sys.rates(np.array([(x - 1) / ell]))[0] > 0.0
+        # zero beyond rounding where rho_max l is read as whole
+        assert sys.rates(np.array([x / ell]))[0] <= 1e-9 * F.params.q_max
+
+    @pytest.mark.parametrize("flux, ell", config_cells())
+    def test_config_cell_lengths(self, flux, ell):
+        lam = (1.0,) * flux.m
+        sys = SegmentSpec.uniform(1, ell, flux, lam, lam).system()
+        jam = flux.rho_jam * ell
+        if isinstance(flux, DaganzoFlux):
+            # every Daganzo cell holds a whole count at jam density
+            np.testing.assert_array_equal(sys.x_jam, np.rint(jam))
+        else:
+            # a class alone fills a two-class cell at N l / L_j vehicles,
+            # a fraction at every lane count: rint fell short below .5
+            np.testing.assert_array_equal(sys.x_jam, np.ceil(jam))
+            for j in range(2):
+                x = np.zeros(2)
+                x[j] = sys.x_jam[j] - 1
+                assert sys.rates(x / ell)[j] > 0.0
+                x[j] += 1
+                assert sys.rates(x / ell)[j] == 0.0
 
 
 class TestRateVector:

@@ -93,15 +93,25 @@ class TestSimulate:
         assert Y[-1].sum() == traj.n_events
         assert np.all(np.diff(Y, axis=0) >= 0)
 
+    def test_fractional_jam_count_holds(self):
+        # rho_max l = 20.25: the supply at 20 vehicles is positive, so the
+        # count reaches x_jam = 21 and stops there (an x_jam of 20 made
+        # that arrival raise SimulationError)
+        sys = seg(d=1, ell=0.1875, lam=12.0, nu=2.0).system()
+        traj = simulate(sys, [20], SimConfig(horizon=2.0, seed=0))
+        assert traj.counts.max() == sys.x_jam[0] == 21
+
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 5), st.integers(5, 162), st.floats(0.0, 3000.0),
-           st.floats(0.0, 3000.0), st.lists(st.floats(0.0, 1.0), min_size=5,
-                                            max_size=5), st.integers(0, 2**32 - 1))
-    def test_recorded_rates_match_array_rates(self, d, x_jam, lam, nu, fill, seed):
-        # the loop's scalar link rates are the kernel's, bit for bit.  l is
-        # drawn so that a cell holds a whole x_jam vehicles at jam density:
-        # where rho_max l rounds down, the model lets a count pass x_jam
-        sys = seg(d=d, ell=x_jam / 108.0, lam=lam, nu=nu).system()
+    @given(st.integers(1, 5),
+           st.one_of(st.integers(5, 162).map(lambda x: x / 108.0),
+                     st.floats(5 / 108.0, 1.5)),
+           st.floats(0.0, 3000.0), st.floats(0.0, 3000.0),
+           st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+           st.integers(0, 2**32 - 1))
+    def test_recorded_rates_match_array_rates(self, d, ell, lam, nu, fill, seed):
+        # the loop's scalar link rates are the kernel's, bit for bit; cells
+        # hold a whole or a fractional rho_max l vehicles at jam density
+        sys = seg(d=d, ell=ell, lam=lam, nu=nu).system()
         x0 = np.rint(np.array(fill[:d]) * sys.x_jam).astype(int)
         traj = simulate(sys, x0, SimConfig(horizon=0.05, seed=seed))
         assert np.all(traj.counts >= 0) and np.all(traj.counts <= sys.x_jam)

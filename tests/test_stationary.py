@@ -61,9 +61,11 @@ class TestFixedPoint:
         ratio = np.diag(fp1.V) / np.diag(fp2.V)
         np.testing.assert_allclose(ratio, 2.0, rtol=0.1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergent_iteration_fails_fast(self):
         # dt * v_f / ell = 1.33: forward Euler is unstable and V overflows;
-        # the default max_iter would otherwise spin for minutes
+        # the default max_iter would otherwise spin for minutes.  The
+        # typed error is the only signal: numpy's overflow warning fails
         t0 = time.perf_counter()
         with pytest.raises(FixedPointError, match="diverged"):
             stationary_fixed_point(SegmentSpec.uniform(5, 0.06, F, 1200.0, 1200.0))
