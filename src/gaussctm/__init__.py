@@ -9,8 +9,7 @@ from .flux import (DaganzoFlux, DaganzoParams, TwoClassFlux, TwoClassParams,
                    flux_jacobian, two_class_flux)
 from .model import (Diverge, Merge, NetworkConfigError, NetworkSpec, RoadSpec,
                     SegmentSpec, TransitionSystem, build_network_system,
-                    build_segment_system, drift, drift_jacobian, dispersion,
-                    incidence_matrices, network_rate_vector, rate_vector)
+                    build_segment_system)
 from .simulator import (SimConfig, SimulationError, Trajectory,
                         ensemble_moments, estimate_throughput, simulate)
 from .gaussian import (CumulativeTimeline, GaussianTimeline, cross_covariance,

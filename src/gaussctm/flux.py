@@ -1,15 +1,15 @@
-"""Fundamental diagrams and discrete flux functions.
+"""Fundamental diagrams: parameters, compiled kernels, per-boundary views.
 
-The flux between two adjacent cells is the Riemann solution
-min(sending, receiving).  Derivatives at the kinks of the piecewise
-expressions follow a fixed one-sided convention: a linear branch only
-contributes its slope when it is *strictly* the active branch, so at a
-tie (capacity plateau, sending/receiving crossover) the derivative is 0.
+`DaganzoFlux` and `TwoClassFlux` hold a diagram's parameters; their
+`kernel(d, lam, nu)` compiles a d-cell segment into the one implementation
+of the diagram: the flow min(sending, receiving) at every boundary and its
+slopes, a linear branch contributing its slope only when it is *strictly*
+active (at a tie the derivative is 0).  The per-boundary methods and the
+public functions read one boundary of a one- or two-cell kernel.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,59 +69,50 @@ class TwoClassParams:
             raise ValueError("require beta in (0, 1)")
 
 
-class FluxFunction(ABC):
-    """Per-boundary discrete flux: sending demand of the upstream cell,
-    supply of the downstream cell, and the realized per-class flow.
+class FluxFunction:
+    """A diagram of m classes, read one boundary at a time from the
+    kernel that its subclass compiles.  Densities and flows are per-class
+    vectors (veh/km, veh/h), gradients m x m: (j, k) = d flow_j / d rho_k."""
 
-    All densities are per-class vectors (length m, veh/km); all flows
-    are per-class vectors in veh/h.  Gradients are m x m matrices with
-    entry (j, k) = d flow_j / d rho_k.
-    """
+    def _boundary(self, b, cells, lam=0.0, nu=0.0):
+        """Boundary b of the kernel of len(cells) cells: its flows, then
+        their gradients by each cell.  Bounds meet boundary b only if it
+        is the first (lam) or the last (nu)."""
+        m, n = self.m, len(cells)
+        k = self.kernel(n, np.broadcast_to(lam, m), np.broadcast_to(nu, m))
+        rho = np.concatenate(cells, dtype=float)
+        J = np.zeros(((n + 1) * m, n * m))
+        J[k.rows, k.cols] = k.jacobian(rho)
+        rows = slice(b * m, b * m + m)
+        return (k.rates(rho)[rows], *(J[rows, i * m:i * m + m] for i in range(n)))
 
-    m: int
+    def flux(self, rho_send, rho_recv):
+        """Flow between two cells, min(sending, receiving)."""
+        return self._boundary(1, (rho_send, rho_recv))[0]
 
-    @property
-    @abstractmethod
-    def rho_jam(self) -> np.ndarray:
-        """Per-class jam density when the class occupies the cell alone."""
+    def flux_grad(self, rho_send, rho_recv):
+        return self._boundary(1, (rho_send, rho_recv))[1:]
 
-    @property
-    @abstractmethod
-    def q_max(self) -> np.ndarray:
-        """Per-class capacity when the class occupies the boundary alone."""
+    def inflow(self, lam, rho_recv):
+        """Arrival flow: external demand lam through the receiving supply."""
+        return self._boundary(0, (rho_recv,), lam=lam)[0]
 
-    @abstractmethod
-    def check_domain(self, rho: np.ndarray) -> None:
-        """Raise ValueError if rho is outside the admissible region."""
+    def inflow_grad(self, lam, rho_recv):
+        return self._boundary(0, (rho_recv,), lam=lam)[1]
 
-    @abstractmethod
-    def demand(self, rho: np.ndarray) -> np.ndarray: ...
-
-    @abstractmethod
-    def demand_grad(self, rho: np.ndarray) -> np.ndarray: ...
-
-    @abstractmethod
-    def flux(self, rho_send: np.ndarray, rho_recv: np.ndarray) -> np.ndarray: ...
-
-    @abstractmethod
-    def flux_grad(
-        self, rho_send: np.ndarray, rho_recv: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]: ...
-
-    @abstractmethod
-    def inflow(self, lam: np.ndarray, rho_recv: np.ndarray) -> np.ndarray:
-        """Boundary arrival flow: external demand lam through the supply
-        of the receiving cell."""
-
-    @abstractmethod
-    def inflow_grad(self, lam: np.ndarray, rho_recv: np.ndarray) -> np.ndarray: ...
-
-    @abstractmethod
-    def outflow(self, rho_send: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    def outflow(self, rho_send, nu):
         """Boundary departure flow: sending demand truncated at nu."""
+        return self._boundary(1, (rho_send,), nu=nu)[0]
 
-    @abstractmethod
-    def outflow_grad(self, rho_send: np.ndarray, nu: np.ndarray) -> np.ndarray: ...
+    def outflow_grad(self, rho_send, nu):
+        return self._boundary(1, (rho_send,), nu=nu)[1]
+
+    def demand(self, rho):
+        """Sending flow of a cell: its outflow with no bound."""
+        return self.outflow(rho, np.inf)
+
+    def demand_grad(self, rho):
+        return self.outflow_grad(rho, np.inf)
 
 
 class DaganzoFlux(FluxFunction):
@@ -145,56 +136,24 @@ class DaganzoFlux(FluxFunction):
         if not (0.0 <= r <= self.params.rho_max):
             raise ValueError(f"density {r} outside [0, {self.params.rho_max}]")
 
-    # scalar kernels, shared with the vector interface below
+    def kernel(self, d, lam, nu):
+        p = self.params
+        caps = [min(lam[0], p.q_max)] + [p.q_max] * (d - 1) + [min(nu[0], p.q_max)]
+        return _DaganzoKernel([(b - 1 if b else None, b if b < d else None, p, cap)
+                               for b, cap in enumerate(caps)])
 
+    # scalar views, kept by name: perfbench/tracer.py wraps each of them
     def sending_scalar(self, rho: float) -> float:
-        return min(self.params.v_f * rho, self.params.q_max)
+        return float(self.demand([rho])[0])
 
     def sending_grad_scalar(self, rho: float) -> float:
-        return self.params.v_f if self.params.v_f * rho < self.params.q_max else 0.0
+        return float(self.demand_grad([rho])[0, 0])
 
     def receiving_scalar(self, rho: float) -> float:
-        return min(self.params.w * (self.params.rho_max - rho), self.params.q_max)
+        return float(self.inflow(np.inf, [rho])[0])
 
     def receiving_grad_scalar(self, rho: float) -> float:
-        p = self.params
-        return -p.w if p.w * (p.rho_max - rho) < p.q_max else 0.0
-
-    def demand(self, rho):
-        return np.array([self.sending_scalar(float(rho[0]))])
-
-    def demand_grad(self, rho):
-        return np.array([[self.sending_grad_scalar(float(rho[0]))]])
-
-    def flux(self, rho_send, rho_recv):
-        s = self.sending_scalar(float(rho_send[0]))
-        r = self.receiving_scalar(float(rho_recv[0]))
-        return np.array([min(s, r)])
-
-    def flux_grad(self, rho_send, rho_recv):
-        s = self.sending_scalar(float(rho_send[0]))
-        r = self.receiving_scalar(float(rho_recv[0]))
-        ds = self.sending_grad_scalar(float(rho_send[0])) if s < r else 0.0
-        dr = self.receiving_grad_scalar(float(rho_recv[0])) if r < s else 0.0
-        return np.array([[ds]]), np.array([[dr]])
-
-    def inflow(self, lam, rho_recv):
-        r = self.receiving_scalar(float(rho_recv[0]))
-        return np.array([min(float(lam[0]), r)])
-
-    def inflow_grad(self, lam, rho_recv):
-        r = self.receiving_scalar(float(rho_recv[0]))
-        dr = self.receiving_grad_scalar(float(rho_recv[0])) if r < float(lam[0]) else 0.0
-        return np.array([[dr]])
-
-    def outflow(self, rho_send, nu):
-        s = self.sending_scalar(float(rho_send[0]))
-        return np.array([min(s, float(nu[0]))])
-
-    def outflow_grad(self, rho_send, nu):
-        s = self.sending_scalar(float(rho_send[0]))
-        ds = self.sending_grad_scalar(float(rho_send[0])) if s < float(nu[0]) else 0.0
-        return np.array([[ds]])
+        return float(self.inflow_grad(np.inf, [rho])[0, 0])
 
 
 class TwoClassFlux(FluxFunction):
@@ -212,8 +171,7 @@ class TwoClassFlux(FluxFunction):
     m = 2
 
     def __init__(self, params: TwoClassParams):
-        self.params = params
-        p = params
+        self.params = p = params
         self.lengths = np.array([p.L1, p.L2])
         self.v_free = np.array([p.v_f1, p.v_f2])
         self.capacity_occ = p.v_c * p.beta * p.N
@@ -236,108 +194,224 @@ class TwoClassFlux(FluxFunction):
         if float(rho @ self.lengths) > self.params.N + 1e-12:
             raise ValueError("occupancy exceeds lane count")
 
-    def _occ_demand(self, rho):
-        """Raw per-class occupancy demand and its diagonal gradient."""
-        return rho * self.lengths * self.v_free
-
-    def _supply_occ(self, rho_recv: np.ndarray) -> float:
-        occ = float(rho_recv @ self.lengths)
-        return min(self.capacity_occ, self.w_occ * (self.params.N - occ))
-
-    def _supply_occ_grad(self, rho_recv: np.ndarray) -> np.ndarray:
-        occ = float(rho_recv @ self.lengths)
-        if self.w_occ * (self.params.N - occ) < self.capacity_occ:
-            return -self.w_occ * self.lengths
-        return np.zeros(2)
-
-    def _shared(self, g: np.ndarray, supply: float | None):
-        """Per-class occupancy flow for raw demands g through an optional
-        occupancy supply; returns (flow, d flow/d g, d flow/d supply)."""
-        total = float(g.sum())
-        if total <= 0.0:
-            return np.zeros(2), np.zeros((2, 2)), np.zeros(2)
-        cap = self.capacity_occ
-        eff = min(total, cap) if supply is None else min(total, cap, supply)
-        shares = g / total
-        flow = shares * eff
-        # d shares_j / d g_k times eff; eff / total <= 1, whereas 1 / total
-        # overflows for a subnormal total
-        dflow = (np.eye(2) - shares[:, None]) * (eff / total)
-        dsupply = np.zeros(2)
-        if eff == total and total < cap and (supply is None or total < supply):
-            deff_dg = np.ones(2)
-            dflow += shares[:, None] * deff_dg[None, :]
-        elif supply is not None and eff == supply and supply < total and supply < cap:
-            dsupply = shares
-        return flow, dflow, dsupply
-
-    def demand(self, rho):
-        flow, _, _ = self._shared(self._occ_demand(rho), None)
-        return flow / self.lengths
-
-    def demand_grad(self, rho):
-        _, dflow, _ = self._shared(self._occ_demand(rho), None)
-        dg = np.diag(self.lengths * self.v_free)
-        return (dflow @ dg) / self.lengths[:, None]
-
-    def flux(self, rho_send, rho_recv):
-        flow, _, _ = self._shared(self._occ_demand(rho_send), self._supply_occ(rho_recv))
-        return flow / self.lengths
-
-    def flux_grad(self, rho_send, rho_recv):
-        g = self._occ_demand(rho_send)
-        supply = self._supply_occ(rho_recv)
-        _, dflow, dsupply = self._shared(g, supply)
-        dg = np.diag(self.lengths * self.v_free)
-        dsend = (dflow @ dg) / self.lengths[:, None]
-        drecv = np.outer(dsupply, self._supply_occ_grad(rho_recv)) / self.lengths[:, None]
-        return dsend, drecv
-
-    def inflow(self, lam, rho_recv):
-        g = np.asarray(lam, dtype=float) * self.lengths
-        flow, _, _ = self._shared(g, self._supply_occ(rho_recv))
-        return flow / self.lengths
-
-    def inflow_grad(self, lam, rho_recv):
-        g = np.asarray(lam, dtype=float) * self.lengths
-        _, _, dsupply = self._shared(g, self._supply_occ(rho_recv))
-        return np.outer(dsupply, self._supply_occ_grad(rho_recv)) / self.lengths[:, None]
-
-    def outflow(self, rho_send, nu):
-        d = self.demand(rho_send)
-        return np.minimum(d, np.asarray(nu, dtype=float))
-
-    def outflow_grad(self, rho_send, nu):
-        d = self.demand(rho_send)
-        grad = self.demand_grad(rho_send)
-        active = (d < np.asarray(nu, dtype=float)).astype(float)
-        return grad * active[:, None]
+    def kernel(self, d, lam, nu):
+        return _TwoClassKernel(self, d, lam, nu)
 
 
+# ---------------------------------------------------------------------------
+# array kernels
+
+
+class _DaganzoKernel:
+    """Rates of a single-class Daganzo segment or network from one array
+    of candidate flows.  A candidate (cell, DaganzoParams, sending, cap)
+    is the sending flow min(v_f rho, cap) of an upstream cell or the
+    receiving flow min(w (rho_max - rho), cap) of a downstream one, both
+    min(scale (off + sgn rho), cap), with cap q_max lowered to any
+    external demand or departure bound; None is a +inf candidate.
+    * links (src, dst, params, cap), src or dst None at arrivals and
+      departures: min(sending, receiving), strict slopes;
+    * diverges (upstream, [(branch, p_b), ...]): branch b gets
+      p_b min(D, min_b R_b / p_b), padded to the largest branch count;
+    * merges (a, b, downstream, (p_a, p_b)): if D_a + D_b fit into the
+      supply R each passes its demand, else a gets the median of
+      (D_a, R - D_b, p_a R).
+    Junctions average the slopes of tied candidates."""
+
+    def __init__(self, links, diverges=(), merges=()):
+        K = self.K = 1 + max((len(br) for _, br in diverges), default=0)
+        cands = [c for s, d, p, cap in links for c in (
+            None if s is None else (s, p, True, cap),
+            None if d is None else (d, p, False, cap))]
+        # Jacobian entries (transition, candidate whose cell is the column)
+        ent = [(k // 2, k) for k, c in enumerate(cands) if c is not None]
+        nl, n_link, div, owner, trans_p = len(links), len(ent), [], [], []
+        for i, (up, branches) in enumerate(diverges):
+            pad, c0 = K - 1 - len(branches), len(cands)
+            cands += [up] + [c for c, _ in branches] + [None] * pad
+            div += [1.0] + [p for _, p in branches] + [1.0] * pad
+            for _, p in branches:
+                ent += [(nl + len(owner), c0 + k) for k in range(1 + len(branches))]
+                owner.append(i)
+                trans_p.append(p)
+        self.nd, self.nm = len(owner), len(merges)
+        self.div_sl = slice(2 * nl, len(cands))
+        n_div = len(ent) - n_link
+        # merge rows a, b by their own upstream, the other upstream and
+        # the downstream cell
+        for i, m in enumerate(merges):
+            t, c0 = nl + self.nd + 2 * i, len(cands)
+            ent += [(t, c0), (t, c0 + 1), (t, c0 + 2),
+                    (t + 1, c0 + 1), (t + 1, c0), (t + 1, c0 + 2)]
+            cands += m[:3]
+        table = [(0, 1.0, np.inf, 1.0, np.inf) if c is None else
+                 (c[0], c[1].v_f, 0.0, 1.0, c[3]) if c[2] else
+                 (c[0], c[1].w, c[1].rho_max, -1.0, c[3]) for c in cands]
+        idx, self.scale, self.off, self.sgn, self.cap = np.array(table).reshape(-1, 5).T
+        self.idx, self.slope = idx.astype(int), self.scale * self.sgn
+        ent = np.array(ent, dtype=int).reshape(-1, 2)
+        self.rows, self.cols = ent[:, 0], self.idx[ent[:, 1]]
+        self.link_ent = ent[:n_link, 1]
+        self.div, self.owner, self.trans_p = np.array(div), np.array(owner), np.array(trans_p)
+        div_ent = ent[n_link:n_link + n_div]
+        self.div_ent = div_ent[:, 1] - self.div_sl.start
+        self.ent_p = self.trans_p[div_ent[:, 0] - nl]
+        self.p = np.array([m[3] for m in merges], dtype=float).reshape(-1, 2)
+
+    def _lin(self, rho):
+        return self.scale * (self.off + self.sgn * rho[self.idx])
+
+    def _merge(self, flow):
+        D, R = flow[:, :2], flow[:, 2:]
+        free = D[:, :1] + D[:, 1:] <= R
+        c = (D, R - D[:, ::-1], self.p * R)
+        med = np.maximum(np.minimum(D, c[1]), np.minimum(np.maximum(D, c[1]), c[2]))
+        return free, c, med
+
+    def _masks(self, rho):
+        """The branch masks that fix the Jacobian: candidates below their
+        cap, the binding side of each link, the active candidates of each
+        diverge, and per merge whether it is free and which of its three
+        candidates equal the median (None without diverges or merges)."""
+        lin = self._lin(rho)
+        flow = np.minimum(lin, self.cap)
+        f = flow[:self.div_sl.start].reshape(-1, 2)
+        active = free = None
+        at_med = (None,) * 3
+        if self.nd:
+            vals = (flow[self.div_sl] / self.div).reshape(-1, self.K)
+            active = vals == vals.min(axis=1, keepdims=True)
+        if self.nm:
+            free, c, med = self._merge(flow[self.div_sl.stop:].reshape(-1, 3))
+            at_med = tuple(x == med for x in c)
+        return (lin < self.cap, f < f[:, ::-1], active, free) + at_med
+
+    def regime(self, rho):
+        """`_masks` as a bytes key: equal keys give bit-identical
+        Jacobians, since `jacobian` reads nothing else of rho."""
+        return b"".join([m.tobytes() for m in self._masks(rho) if m is not None])
+
+    def rates(self, rho):
+        flow = np.minimum(self._lin(rho), self.cap)
+        parts = [flow[:self.div_sl.start].reshape(-1, 2).min(axis=1)]
+        if self.nd:
+            total = (flow[self.div_sl] / self.div).reshape(-1, self.K).min(axis=1)
+            parts.append(self.trans_p * total[self.owner])
+        if self.nm:
+            m = flow[self.div_sl.stop:].reshape(-1, 3)
+            free, _, med = self._merge(m)
+            parts.append(np.where(free, m[:, :2], med).ravel())
+        return np.concatenate(parts)
+
+    def jacobian(self, rho):
+        below, order, active, free, *at_med = self._masks(rho)
+        slope = np.where(below, self.slope, 0.0)
+        s = slope[:self.div_sl.start].reshape(-1, 2)
+        parts = [np.where(order, s, 0.0).ravel()[self.link_ent]]
+        if self.nd:
+            avg = (np.where(active, (slope[self.div_sl] / self.div).reshape(-1, self.K), 0.0)
+                   / active.sum(axis=1, keepdims=True))
+            parts.append(self.ent_p * avg.ravel()[self.div_ent])
+        if self.nm:
+            s = slope[self.div_sl.stop:].reshape(-1, 3)
+            dD, dR = s[:, :2], s[:, 2:]
+            # active candidates; a free merge passes its own demand
+            a0 = at_med[0] | free
+            a1 = at_med[1] & ~free
+            a2 = at_med[2] & ~free
+            n = a0.astype(float) + a1 + a2
+            out = np.empty(dD.shape + (3,))
+            out[..., 0] = np.where(a0, dD, 0.0) / n
+            out[..., 1] = np.where(a1, -dD[:, ::-1], 0.0) / n
+            out[..., 2] = np.where(a1, dR, 0.0) / n + np.where(a2, self.p * dR, 0.0) / n
+            parts.append(out.ravel())
+        return np.concatenate(parts)
+
+
+class _TwoClassKernel:
+    """`TwoClassFlux` at all d+1 boundaries of a segment.  Boundary b
+    passes the raw occupancy demands g_b (lam * L for the arrivals,
+    rho * L * v_f of cell b-1 otherwise) through min(sum g_b, capacity,
+    supply of cell b), shared in proportion to g_b; departures are
+    further capped at nu per class.  Only a strictly active branch of
+    the min has a slope."""
+
+    def __init__(self, f: TwoClassFlux, d, lam, nu):
+        self.d, self.L, self.v = d, f.lengths, f.v_free
+        self.g_in = (np.asarray(lam, dtype=float) * f.lengths)[None, :]
+        self.nu = np.asarray(nu, dtype=float)
+        self.cap, self.w_occ, self.N = f.capacity_occ, f.w_occ, f.params.N
+        self.cap_out = np.array([self.cap])  # departures meet no supply
+        self.dlin = -self.w_occ * f.lengths  # slope of the backward wave
+        # entries (b, j, k): flow j of boundary b+1 by density k of its
+        # sending cell b, then flow j of boundary b by density k of its
+        # receiving cell b
+        b, j, k = np.indices((d, 2, 2))
+        self.rows = np.concatenate([(2 * b + 2 + j).ravel(), (2 * b + j).ravel()])
+        self.cols = np.tile((2 * b + k).ravel(), 2)
+
+    def _shared(self, rho):
+        R = rho.reshape(self.d, 2)
+        g = np.concatenate((self.g_in, R * self.L * self.v))
+        lin = self.w_occ * (self.N - R @ self.L)
+        # min(capacity, supply of the receiving cell) per boundary
+        lim = np.concatenate((np.minimum(self.cap, lin), self.cap_out))
+        total = g.sum(axis=1)
+        live = total > 0.0
+        eff = np.where(live, np.minimum(total, lim), 0.0)
+        shares = g / np.where(live, total, 1.0)[:, None]
+        return lin, lim, total, live, eff, shares
+
+    def rates(self, rho):
+        *_, eff, shares = self._shared(rho)
+        q = shares * eff[:, None] / self.L
+        q[-1] = np.minimum(q[-1], self.nu)
+        return q.ravel()
+
+    def jacobian(self, rho):
+        lin, lim, total, live, eff, shares = self._shared(rho)
+        ratio = eff / np.where(live, total, 1.0)  # <= 1: no overflow
+        # d flow_j / d g_k: the shares move, and on the free branch so does eff
+        dflow = (np.eye(2) - shares[:, :, None]) * ratio[:, None, None]
+        dflow += np.where((live & (total < lim))[:, None, None],
+                          shares[:, :, None], 0.0)
+        send = dflow[1:] * (self.L * self.v) / self.L[:, None]
+        send[-1] *= (shares[-1] * eff[-1] / self.L < self.nu)[:, None]
+        # congested: the backward-wave supply is strictly the binding limit
+        cong = live[:-1] & (lin < np.minimum(self.cap, total[:-1]))
+        recv = np.where(cong[:, None, None],
+                        shares[:-1, :, None] * self.dlin / self.L[:, None], 0.0)
+        return np.concatenate([send.ravel(), recv.ravel()])
+
+
+# ---------------------------------------------------------------------------
 # convenience entry points on raw parameter records
 
 
 def daganzo_sending(rho: float, p: DaganzoParams) -> float:
     """Sending flow min(v_f * rho, q_max) of the triangular diagram."""
-    if not (0.0 <= rho <= p.rho_max):
-        raise ValueError(f"density {rho} outside [0, {p.rho_max}]")
-    return min(p.v_f * rho, p.q_max)
+    f = DaganzoFlux(p)
+    f.check_domain(rho)
+    return f.sending_scalar(rho)
 
 
 def daganzo_receiving(rho: float, p: DaganzoParams) -> float:
     """Receiving flow min(w * (rho_max - rho), q_max)."""
-    if not (0.0 <= rho <= p.rho_max):
-        raise ValueError(f"density {rho} outside [0, {p.rho_max}]")
-    return min(p.w * (p.rho_max - rho), p.q_max)
+    f = DaganzoFlux(p)
+    f.check_domain(rho)
+    return f.receiving_scalar(rho)
+
+
+def _checked(f, *rhos):
+    rhos = [np.atleast_1d(np.asarray(rho, dtype=float)) for rho in rhos]
+    for rho in rhos:
+        f.check_domain(rho)
+    return rhos
 
 
 def discrete_flux(rho_send, rho_recv, f: FluxFunction) -> np.ndarray:
     """Per-class flow across a boundary, min(sending, receiving)."""
-    rho_send = np.atleast_1d(np.asarray(rho_send, dtype=float))
-    rho_recv = np.atleast_1d(np.asarray(rho_recv, dtype=float))
-    f.check_domain(rho_send)
-    f.check_domain(rho_recv)
-    return f.flux(rho_send, rho_recv)
+    return f.flux(*_checked(f, rho_send, rho_recv))
 
 
 def two_class_flux(rho_send, rho_recv, p: TwoClassParams) -> np.ndarray:
@@ -350,8 +424,4 @@ def flux_jacobian(rho_send, rho_recv, f: FluxFunction):
 
     Returns (d flux / d rho_send, d flux / d rho_recv), each m x m.
     """
-    rho_send = np.atleast_1d(np.asarray(rho_send, dtype=float))
-    rho_recv = np.atleast_1d(np.asarray(rho_recv, dtype=float))
-    f.check_domain(rho_send)
-    f.check_domain(rho_recv)
-    return f.flux_grad(rho_send, rho_recv)
+    return f.flux_grad(*_checked(f, rho_send, rho_recv))

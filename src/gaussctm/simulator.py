@@ -23,7 +23,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .model import _DaganzoKernel
+from .flux import _DaganzoKernel
 
 __all__ = ["SimConfig", "Trajectory", "SimulationError", "simulate",
            "estimate_throughput", "ensemble_moments", "EnsembleMoments"]
@@ -148,9 +148,12 @@ def simulate(spec, initial_counts, cfg: SimConfig, rng=None) -> Trajectory:
 
     n = sys.n_trans
     inv_len = (1.0 / sys.state_lengths).tolist()
-    counts = x0.tolist()
-    rho = [c * il for c, il in zip(counts, inv_len)]
     x_jam = sys.x_jam.tolist()
+    # a full cell holds rho_jam where x_jam * (1 / l) rounds below it, so
+    # that its receiving rate is exactly 0
+    full = np.maximum(sys.x_jam * np.array(inv_len), sys.rho_jam).tolist()
+    counts = x0.tolist()
+    rho = [c * il if c < x else f for c, x, il, f in zip(counts, x_jam, inv_len, full)]
     src, dst = sys.src.tolist(), sys.dst.tolist()  # -1 at the boundary
     arr_sum = _sum_over(np.flatnonzero(sys.src < 0).tolist())
     dep_sum = _sum_over(np.flatnonzero(sys.dst < 0).tolist())
@@ -206,10 +209,10 @@ def simulate(spec, initial_counts, cfg: SimConfig, rng=None) -> Trajectory:
                 raise SimulationError(f"{sys.labels[k]}: state {s} below 0")
             rho[s] = counts[s] * inv_len[s]
         if d >= 0:
-            counts[d] += 1
-            if counts[d] > x_jam[d]:
+            c = counts[d] = counts[d] + 1
+            if c > x_jam[d]:
                 raise SimulationError(f"{sys.labels[k]}: state {d} above jam")
-            rho[d] = counts[d] * inv_len[d]
+            rho[d] = c * inv_len[d] if c < x_jam[d] else full[d]
 
     return Trajectory(sys, x0, times, trans, arr_rate, dep_rate, horizon,
                       absorbed)

@@ -16,7 +16,7 @@ from scipy.stats import norm
 from gaussctm.cli import main, route_travel_time, control_travel_time
 from gaussctm.flux import DaganzoFlux, DaganzoParams, TwoClassParams
 from gaussctm.gaussian import cross_covariance, solve_fluid, solve_moments
-from gaussctm.model import SegmentSpec, network_rate_vector
+from gaussctm.model import SegmentSpec
 from gaussctm.simulator import (SimConfig, ensemble_moments,
                                 estimate_throughput, simulate)
 from gaussctm.stationary import (cell_marginal, deterministic_metric,
@@ -190,8 +190,7 @@ def test_criterion_6_network_symmetry():
     # saturated merge with p36 = 0.5 splits the supply equally
     state = np.zeros(34)
     state[14] = state[24] = 40.0
-    q, labels = network_rate_vector(state, net)
-    rates = dict(zip(labels, q))
+    rates = dict(zip(sys.labels, sys.rates(state)))
     assert rates["r3->r6"] == rates["r5->r6"] > 0
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gaussctm.flux import (
     DaganzoFlux,
@@ -13,6 +13,9 @@ from gaussctm.flux import (
     flux_jacobian,
     two_class_flux,
 )
+import flux_reference as ref
+from test_kernels import (DAG, TC as TC_EXACT, TC_REAL, bound, daganzo_density, dyadic,
+                          two_class_state)
 
 P = DaganzoParams(v_f=80.0, w=16.0, rho_max=108.0, q_max=1800.0)
 F = DaganzoFlux(P)
@@ -197,7 +200,7 @@ class TestTwoClassFlux:
             rho_s = rng.uniform(0.05, 0.45, 2) * TC.N / np.array([TC.L1, TC.L2])
             rho_r = rng.uniform(0.05, 0.45, 2) * TC.N / np.array([TC.L1, TC.L2])
             g = rho_s * f.lengths * f.v_free
-            sup = f._supply_occ(rho_r)
+            sup = min(f.capacity_occ, f.w_occ * (TC.N - rho_r @ f.lengths))
             vals = [g.sum(), f.capacity_occ, sup,
                     f.w_occ * (TC.N - rho_r @ f.lengths)]
             if min(abs(vals[0] - vals[1]), abs(vals[0] - vals[2]),
@@ -212,3 +215,59 @@ class TestTwoClassFlux:
                 fd = (f.flux(rho_s, rho_r + e) - f.flux(rho_s, rho_r - e)) / (2 * h)
                 np.testing.assert_allclose(dr[:, k], fd, atol=tol)
             checked += 1
+
+
+# ---------------------------------------------------------------------------
+# the per-boundary views of the kernels against the reference formulas
+
+
+def views(f, s, r, lam, nu):
+    """(name, library values, reference values) of every per-boundary view
+    and public function on sending density s, receiving density r,
+    arrival bound lam and departure bound nu."""
+    flux = ref.boundary(f, s, r)
+    out = [
+        ("flux", (f.flux(s, r), *f.flux_grad(s, r)), flux),
+        ("inflow", (f.inflow(lam, r), f.inflow_grad(lam, r)),
+         ref.boundary(f, rho_recv=r, lam=lam)[::2]),
+        ("outflow", (f.outflow(s, nu), f.outflow_grad(s, nu)), ref.boundary(f, s, nu=nu)),
+        ("demand", (f.demand(s), f.demand_grad(s)),
+         ref.boundary(f, s, nu=np.full(f.m, np.inf))),
+        ("discrete_flux", (discrete_flux(s, r, f), *flux_jacobian(s, r, f)), flux),
+    ]
+    if f.m == 2:
+        return out + [("two_class_flux", (two_class_flux(s, r, f.params),), flux)]
+    p, s, r = f.params, s[0], r[0]
+    scalars = (ref.sending(p, s), ref.sending_grad(p, s),
+               ref.receiving(p, r), ref.receiving_grad(p, r))
+    return out + [
+        ("scalar views", (f.sending_scalar(s), f.sending_grad_scalar(s),
+                          f.receiving_scalar(r), f.receiving_grad_scalar(r)), scalars),
+        ("daganzo_sending, daganzo_receiving",
+         (daganzo_sending(s, p), daganzo_receiving(r, p)), scalars[::2]),
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(daganzo_density, daganzo_density, bound | st.just(np.inf), bound | st.just(np.inf))
+def test_daganzo_views_match_reference(s, r, lam, nu):
+    # on the dyadic grid and the kinks of test_kernels, ties are exact
+    for name, got, want in views(DAG, np.array([s]), np.array([r]),
+                                 np.array([lam]), np.array([nu])):
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w, err_msg=name)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), st.data())
+def test_two_class_views_match_reference(exact, data):
+    f = TC_EXACT if exact else TC_REAL
+    s, r = data.draw(two_class_state(2, f, exact)).reshape(2, 2)
+    per_class = (dyadic(16.0, 0.5) if exact else st.floats(0.0, 9000.0)) | st.just(0.0)
+    lam, nu = (np.array(data.draw(st.tuples(b, b)))
+               for b in (per_class, per_class | st.just(np.inf)))
+    # atol as in test_kernels: near a full receiving cell N - occupancy
+    # cancels a last-bit difference between the two occupancy sums
+    for name, got, want in views(f, s, r, lam, nu):
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-9, err_msg=name)

@@ -1,7 +1,7 @@
 """The array kernels behind TransitionSystem.rates / rate_jacobian against
-per-boundary references built from the FluxFunction methods, on random
-states and on states snapped onto kinks (so that both tie conventions are
-pinned), plus central differences away from kinks."""
+the per-boundary formulas of `flux_reference`, on random states and on
+states snapped onto kinks (so that both tie conventions are pinned), plus
+central differences away from kinks."""
 
 from types import SimpleNamespace
 
@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from gaussctm.cli import example_network
 from gaussctm.flux import DaganzoFlux, DaganzoParams, TwoClassFlux, TwoClassParams
 from gaussctm.model import NetworkConfigError, NetworkSpec, RoadSpec, SegmentSpec
+import flux_reference as ref
 
 # dyadic parameters: every candidate flow is exact on a dyadic grid of
 # densities, so ties between branches occur exactly
@@ -31,26 +32,16 @@ SETTINGS = settings(max_examples=150, deadline=None)
 
 def segment_reference(spec, rho):
     f, m, d = spec.flux, spec.m, spec.d
-    lam, nu = np.asarray(spec.lam), np.asarray(spec.nu)
     q = np.zeros((d + 1) * m)
-    J = np.zeros(((d + 1) * m, d * m))
-
-    def cell(i):
-        return slice(i * m, (i + 1) * m)
-
+    # boundary b sends from column block b and receives into block b + 1;
+    # blocks 0 and d + 1 stand for the arrivals and the departures
+    J = np.zeros(((d + 1) * m, (d + 2) * m))
+    cells = [None, *rho.reshape(d, m), None]
     for b in range(d + 1):
-        row = cell(b)
-        if b == 0:
-            q[row] = f.inflow(lam, rho[cell(0)])
-            J[row, cell(0)] = f.inflow_grad(lam, rho[cell(0)])
-        elif b == d:
-            q[row] = f.outflow(rho[cell(d - 1)], nu)
-            J[row, cell(d - 1)] = f.outflow_grad(rho[cell(d - 1)], nu)
-        else:
-            q[row] = f.flux(rho[cell(b - 1)], rho[cell(b)])
-            J[row, cell(b - 1)], J[row, cell(b)] = f.flux_grad(
-                rho[cell(b - 1)], rho[cell(b)])
-    return np.maximum(q, 0.0), J
+        row, send, recv = (slice(c * m, c * m + m) for c in (b, b, b + 1))
+        q[row], J[row, send], J[row, recv] = ref.boundary(f, cells[b], cells[b + 1],
+                                                          spec.lam, spec.nu)
+    return np.maximum(q, 0.0), J[:, m:-m]
 
 
 def _tied(value, values, grads):
@@ -64,7 +55,7 @@ def _tied(value, values, grads):
 
 
 def network_reference(net, rho):
-    """{label: (rate, {state: d rate / d rho})} from DaganzoFlux scalars."""
+    """{label: (rate, {state: d rate / d rho})} from the reference scalars."""
     roads = {r.name: r for r in net.roads}
     first, last, n = {}, {}, 0
     for r in net.roads:
@@ -73,17 +64,17 @@ def network_reference(net, rho):
     out = {}
 
     def demand(road):
-        f, c = roads[road].flux, last[road]
-        return f.sending_scalar(rho[c]), {c: f.sending_grad_scalar(rho[c])}
+        p, c = roads[road].flux.params, last[road]
+        return ref.sending(p, rho[c]), {c: ref.sending_grad(p, rho[c])}
 
     def supply(road):
-        f, c = roads[road].flux, first[road]
-        return f.receiving_scalar(rho[c]), {c: f.receiving_grad_scalar(rho[c])}
+        p, c = roads[road].flux.params, first[road]
+        return ref.receiving(p, rho[c]), {c: ref.receiving_grad(p, rho[c])}
 
-    def link(label, f, src, dst):
-        s, r = f.sending_scalar(rho[src]), f.receiving_scalar(rho[dst])
-        out[label] = (min(s, r), {src: f.sending_grad_scalar(rho[src]) if s < r else 0.0,
-                                  dst: f.receiving_grad_scalar(rho[dst]) if r < s else 0.0})
+    def link(label, f, src=None, dst=None, lam=None, nu=None):
+        q, ds, dr = ref.boundary(f, None if src is None else rho[[src]],
+                                 None if dst is None else rho[[dst]], [lam], [nu])
+        out[label] = (q[0], {c: g[0, 0] for c, g in ((src, ds), (dst, dr)) if c is not None})
 
     for r in net.roads:
         for i in range(r.n_cells - 1):
@@ -92,15 +83,9 @@ def network_reference(net, rho):
     for a, b in net.links:
         link(f"{a}->{b}", roads[b].flux, last[a], first[b])
     for road, lam in net.arrivals:
-        f, c = roads[road].flux, first[road]
-        r = f.receiving_scalar(rho[c])
-        out[f"arrival->{road}"] = (min(lam, r), {
-            c: f.receiving_grad_scalar(rho[c]) if r < lam else 0.0})
+        link(f"arrival->{road}", roads[road].flux, dst=first[road], lam=lam)
     for road, nu in net.departures:
-        f, c = roads[road].flux, last[road]
-        s = f.sending_scalar(rho[c])
-        out[f"{road}->departure"] = (min(s, nu), {
-            c: f.sending_grad_scalar(rho[c]) if s < nu else 0.0})
+        link(f"{road}->departure", roads[road].flux, src=last[road], nu=nu)
     for dv in net.diverges:
         cands = [demand(dv.upstream)] + [
             (v / p, {k: g / p for k, g in gr.items()})

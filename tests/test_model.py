@@ -14,12 +14,6 @@ from gaussctm.model import (
     NetworkSpec,
     RoadSpec,
     SegmentSpec,
-    dispersion,
-    drift,
-    drift_jacobian,
-    incidence_matrices,
-    network_rate_vector,
-    rate_vector,
 )
 
 F = DaganzoFlux(DaganzoParams(v_f=80.0, w=16.0, rho_max=108.0, q_max=1800.0))
@@ -72,6 +66,13 @@ class TestSegmentSpec:
             SegmentSpec.uniform(3, 1.0, F, -5.0, 1800.0)
         with pytest.raises(ValueError):
             SegmentSpec(3, (1.0, 1.0), F, (800.0,), (1800.0,))
+
+    def test_flux_type_checked_first(self):
+        # d = 0 would fail the next check; the flux is named before it
+        with pytest.raises(TypeError, match="not object"):
+            SegmentSpec(0, (), object(), (800.0,), (1800.0,))
+        with pytest.raises(TypeError, match="not DaganzoParams"):
+            SegmentSpec.uniform(3, 1.0, F.params, 800.0, 1800.0)
 
     def test_system_shape(self):
         sys = seg(d=5).system()
@@ -159,50 +160,46 @@ class TestJamCount:
 
 class TestRateVector:
     def test_empty_segment(self):
-        spec = seg(d=3, lam=1800.0)
-        q = rate_vector(np.zeros(3), spec)
+        q = seg(d=3, lam=1800.0).system().rates(np.zeros(3))
         # arrivals limited by the empty-cell supply w * rho_max = 1728
         assert q[0] == 1728.0
         assert np.all(q[1:] == 0.0)
 
     def test_jammed_segment(self):
-        spec = seg(d=3, lam=1800.0, nu=1200.0)
-        q = rate_vector(np.full(3, 108.0), spec)
+        q = seg(d=3, lam=1800.0, nu=1200.0).system().rates(np.full(3, 108.0))
         assert q[0] == 0.0          # no supply at the first cell
         assert np.all(q[1:3] == 0.0)  # interior boundaries blocked
         assert q[3] == 1200.0       # departures capped by nu
 
     def test_uniform_free_flow(self):
-        spec = seg(d=3)
-        q = rate_vector(np.full(3, 10.0), spec)
+        q = seg(d=3).system().rates(np.full(3, 10.0))
         np.testing.assert_allclose(q, 800.0)
 
     def test_domain_check(self):
-        spec = seg(d=3)
+        sys = seg(d=3).system()
         with pytest.raises(ValueError):
-            rate_vector(np.full(3, 200.0), spec)
+            sys.check_domain(np.full(3, 200.0))
         with pytest.raises(ValueError):
-            rate_vector(np.zeros(4), spec)
+            sys.check_domain(np.zeros(4))
 
 
 class TestIncidence:
     def test_two_cell_structure(self):
-        L, H = incidence_matrices(seg(d=2))
+        sys = seg(d=2).system()
+        L, H = sys.L, sys.H
         np.testing.assert_array_equal(L, np.eye(2))
         np.testing.assert_array_equal(H, [[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
 
     def test_length_scaling(self):
-        L, _ = incidence_matrices(SegmentSpec.uniform(2, 2.0, F, 800.0, 1800.0))
-        np.testing.assert_array_equal(L, np.eye(2) / 2.0)
+        sys = SegmentSpec.uniform(2, 2.0, F, 800.0, 1800.0).system()
+        np.testing.assert_array_equal(sys.L, np.eye(2) / 2.0)
 
     def test_two_class_layout(self):
         tc = TwoClassFlux(TwoClassParams(v_f1=108.0, v_f2=79.2, v_c=61.2,
                                          L1=0.0065, L2=0.0165, N=3, beta=0.25))
-        L, H = incidence_matrices(SegmentSpec.uniform(1, 1.0, tc,
-                                                      (800.0, 200.0),
-                                                      (900.0, 300.0)))
+        sys = SegmentSpec.uniform(1, 1.0, tc, (800.0, 200.0), (900.0, 300.0)).system()
         # one cell, two classes: arrivals then departures per class
-        np.testing.assert_array_equal(H, [[1.0, 0.0, -1.0, 0.0],
+        np.testing.assert_array_equal(sys.H, [[1.0, 0.0, -1.0, 0.0],
                                           [0.0, 1.0, 0.0, -1.0]])
 
     def test_column_sums_telescoping(self):
@@ -215,13 +212,12 @@ class TestIncidence:
 
 class TestDrift:
     def test_balanced_state_has_zero_drift(self):
-        spec = seg(d=3)
-        np.testing.assert_allclose(drift(np.full(3, 10.0), spec), 0.0,
+        sys = seg(d=3).system()
+        np.testing.assert_allclose(sys.drift(np.full(3, 10.0)), 0.0,
                                    atol=1e-12)
 
     def test_filling_from_empty(self):
-        spec = seg(d=3, lam=800.0)
-        f = drift(np.zeros(3), spec)
+        f = seg(d=3, lam=800.0).system().drift(np.zeros(3))
         np.testing.assert_allclose(f, [800.0, 0.0, 0.0])
 
     @settings(max_examples=150, deadline=None)
@@ -278,7 +274,7 @@ class TestDispersion:
         spec = seg(d=3, ell=0.5)
         rho = np.array([10.0, 20.0, 30.0])
         sys = spec.system()
-        B = dispersion(rho, spec)
+        B = sys.dispersion(rho)
         q = sys.rates(rho)
         np.testing.assert_allclose(B, sys.LH * np.sqrt(q)[None, :])
         # BB^T equals LH diag(q) (LH)^T
@@ -286,8 +282,8 @@ class TestDispersion:
                                    sys.LH @ np.diag(q) @ sys.LH.T, atol=1e-9)
 
     def test_zero_rates_zero_noise(self):
-        spec = seg(d=2, lam=0.0)
-        assert np.all(dispersion(np.zeros(2), spec) == 0.0)
+        sys = seg(d=2, lam=0.0).system()
+        assert np.all(sys.dispersion(np.zeros(2)) == 0.0)
 
 
 def symmetric_network(lam=1800.0, nu=900.0, p12=0.5):
@@ -337,8 +333,8 @@ class TestNetworkRates:
         net = symmetric_network()
         state = np.zeros(34)
         state[4] = 15.0  # last cell of r1 sends 1200, branches empty
-        q, labels = network_rate_vector(state, net)
-        rates = dict(zip(labels, q))
+        sys = net.system()
+        rates = dict(zip(sys.labels, sys.rates(state)))
         assert rates["r1->r2"] == 600.0
         assert rates["r1->r4"] == 600.0
 
@@ -347,8 +343,8 @@ class TestNetworkRates:
         state = np.zeros(34)
         state[4] = 15.0
         state[5] = 108.0  # first cell of r2 jammed: FIFO blocks the whole split
-        q, labels = network_rate_vector(state, net)
-        rates = dict(zip(labels, q))
+        sys = net.system()
+        rates = dict(zip(sys.labels, sys.rates(state)))
         assert rates["r1->r2"] == 0.0
         assert rates["r1->r4"] == 0.0
 
@@ -357,8 +353,8 @@ class TestNetworkRates:
         state = np.zeros(34)
         state[14] = 40.0  # r3 last cell demands 1800
         state[24] = 40.0  # r5 last cell demands 1800
-        q, labels = network_rate_vector(state, net)
-        rates = dict(zip(labels, q))
+        sys = net.system()
+        rates = dict(zip(sys.labels, sys.rates(state)))
         # downstream supply 16 * 108 = 1728 split by priorities 0.5/0.5
         assert rates["r3->r6"] == 864.0
         assert rates["r5->r6"] == 864.0
@@ -368,8 +364,8 @@ class TestNetworkRates:
         state = np.zeros(34)
         state[14] = 5.0
         state[24] = 10.0
-        q, labels = network_rate_vector(state, net)
-        rates = dict(zip(labels, q))
+        sys = net.system()
+        rates = dict(zip(sys.labels, sys.rates(state)))
         assert rates["r3->r6"] == 400.0
         assert rates["r5->r6"] == 800.0
 

@@ -116,12 +116,23 @@ class TestSimulate:
         traj = simulate(sys, x0, SimConfig(horizon=0.05, seed=seed))
         assert np.all(traj.counts >= 0) and np.all(traj.counts <= sys.x_jam)
         np.testing.assert_array_equal(traj.counts[0], x0)
+        inv = 1 / sys.state_lengths  # a full cell holds at least rho_jam
+        full = np.maximum(sys.x_jam * inv, sys.rho_jam)
         for k, counts in enumerate(traj.counts):
-            q = sys.rates(counts * (1 / sys.state_lengths))
+            q = sys.rates(np.where(counts == sys.x_jam, full, counts * inv))
             assert traj.arrival_rate[k] == q[sys.src < 0].sum()
             assert traj.departure_rate[k] == q[sys.dst < 0].sum()
             if k < traj.n_events:
                 assert q[traj.trans[k]] > 0.0
+
+    def test_full_cell_receives_nothing(self):
+        # on 77 of these lengths, k = 15 the first, x_jam * (1 / l) rounds
+        # just below rho_max, where the receiving rate is 2.3e-13 veh/h
+        for k in range(1, 400):
+            sys = seg(d=1, ell=k / 108.0, lam=1800.0, nu=0.0).system()
+            traj = simulate(sys, sys.x_jam, SimConfig(horizon=1.0))
+            assert traj.arrival_rate[0] == 0.0, k
+            assert traj.absorbed is True, k
 
     @pytest.mark.parametrize("start,rates", [(0, (0.0, 1000.0)),
                                              (108, (1000.0, 0.0))])
