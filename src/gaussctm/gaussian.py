@@ -15,7 +15,13 @@ travel-time tail needs.  From a fixed point of the fluid drift on a
 uniform grid, rho stays put and the cumulative moments obey a linear
 time-invariant ODE: they then take one exact step per grid interval,
 C <- E C E' + W with E = exp(A h) and the noise integral W from Van
-Loan's block exponential (1978), in place of RK4.  Every solver covers
+Loan's block exponential (1978), in place of RK4.  A caller that reads
+only the variances w'Cw of a few fixed weight rows w (the travel-time
+tail reads one per class) passes them as `weights`: the solve then
+stores those quadratic forms instead of C.  On the exact path it never
+forms C at all: C_k = E^k C_0 E'^k + sum_{i<k} E^i W E'^i, so one
+vector recursion v <- E'v per row gives
+w'C_k w = v_k'C_0 v_k + sum_{i<k} v_i'W v_i.  Every solver covers
 each interval of the caller's increasing `time_grid` (taken relative to
 its first point) with equal RK4 steps of at most `step`, and stores
 results at the grid points only: cross-time covariances and the
@@ -45,7 +51,8 @@ __all__ = [
 def _psd(C):
     """Whether C is finite with no eigenvalue below -1e-9 max(trace C, 1),
     by a LAPACK Cholesky factorization of the shifted matrix."""
-    shifted = C + 1e-9 * max(np.trace(C), 1.0) * np.eye(len(C))
+    shifted = np.array(C, dtype=float, order="C")
+    shifted.reshape(-1)[::len(C) + 1] += 1e-9 * max(np.trace(C), 1.0)
     L, info = dpotrf(shifted.T, lower=1, clean=0, overwrite_a=1)
     return info == 0 and bool(np.isfinite(np.trace(L)))
 
@@ -142,19 +149,19 @@ def _grid(time_grid, step):
     return grid - grid[0]
 
 
-def _march(advance, state, times, step):
+def _march(advance, state, times, step, record=lambda state: state):
     """Covers each interval of `times` with the `_steps` of at most
     `step`, each taken by advance(state, h) -> (state, substeps taken).
-    Returns the state at every grid point, one array per entry of
-    `state`, and the substeps taken per interval."""
-    out = [np.full((len(times),) + np.shape(x), x) for x in state]
+    Returns record(state) at every grid point, one array per entry, and
+    the substeps taken per interval."""
+    out = [np.full((len(times),) + np.shape(x), x) for x in record(state)]
     substeps = []
     for g in range(len(times) - 1):
         substeps.append([])
         for h in _steps(times[g + 1] - times[g], step):
             state, taken = advance(state, h)
             substeps[g] += taken
-        for o, x in zip(out, state):
+        for o, x in zip(out, record(state)):
             o[g + 1] = x
     return out, substeps
 
@@ -255,6 +262,45 @@ def _exact_step(A, N, h):
     return E, 0.5 * (W + W.T)
 
 
+def _exact_covariances(E, W, C, n):
+    """C at n grid points of C <- E C E' + W, each checked PSD."""
+    covs = np.empty((n,) + C.shape)
+    covs[0] = C
+    for g in range(1, n):
+        C = E @ C @ E.T + W
+        C = 0.5 * (C + C.T)
+        if not _psd(C):
+            raise FloatingPointError(f"indefinite covariance at exact step {g - 1}")
+        covs[g] = C
+    return covs
+
+
+def _exact_variances(E, W, C, P, n):
+    """w'C_g w at n grid points of C_g <- E C_{g-1} E' + W, for each
+    row w of P, without forming C_g: with v_g = E'^g w it is
+    v_g'C v_g + sum_{i<g} v_i'W v_i.  C is PSD on entry and W is checked
+    once; a variance below -1e-9 max(its scale, 1), the scale being
+    what its terms could reach from PSD matrices, is reported."""
+    if not _psd(W):
+        raise FloatingPointError("indefinite noise integral of the exact step")
+    var = np.empty((n, len(P)))
+    for c, w in enumerate(P):
+        v = np.empty((n, len(w)))
+        v[0] = w
+        for g in range(1, n):
+            v[g] = v[g - 1] @ E
+        var[:, c] = ((v @ C) * v).sum(axis=1)
+        var[1:, c] += np.cumsum(((v[:-1] @ W) * v[:-1]).sum(axis=1))
+        norm2 = (v * v).sum(axis=1)
+        scale = norm2 * np.trace(C)
+        scale[1:] += np.cumsum(norm2[:-1]) * np.trace(W)
+        bad = ~(var[:, c] >= -1e-9 * np.maximum(scale, 1.0))
+        if bad.any():
+            raise FloatingPointError(
+                f"negative projected variance at exact step {np.argmax(bad) - 1}")
+    return var
+
+
 class CumulativeTimeline:
     """Gaussian moments of z = (X(0), Y) on a declared time grid.
 
@@ -262,15 +308,18 @@ class CumulativeTimeline:
     block keeps Cov(X(0), Y(t)) explicit.  `rho[k]` is the fluid density
     at grid point k and `substeps[k]` the RK4 steps taken from there to
     k + 1, from which `cross` propagates covariances across grid points
-    on demand."""
+    on demand.  A timeline solved with `weights` holds instead
+    `var[k, c]` = w_c' cov[k] w_c for each weight row w_c, with `cov`
+    and `substeps` None, and cannot give `cross`."""
 
     def __init__(self, system, times, x0_mean, y_mean, cov, rho, substeps,
-                 x0_feedback):
+                 x0_feedback, var=None):
         self.system = system
         self.times = times
         self.x0_mean = x0_mean  # vehicles per (cell, class)
         self.y_mean = y_mean  # (n_grid, n_trans)
-        self.cov = cov  # (n_grid, n+K, n+K)
+        self.cov = cov  # (n_grid, n+K, n+K), or None with `var`
+        self.var = var  # (n_grid, n_weights), or None
         self.rho = rho  # (n_grid, n)
         self.substeps = substeps
         self.x0_feedback = x0_feedback
@@ -281,6 +330,8 @@ class CumulativeTimeline:
 
     def cross(self, a, b):
         """Cov(z(t_a), z(t_b)) for grid indices a <= b."""
+        if self.cov is None:
+            raise ValueError("cross needs the covariances: solve without weights")
         if a > b:
             raise ValueError("need a <= b")
         return _propagate(self, a, b, self.cov[a],
@@ -288,7 +339,8 @@ class CumulativeTimeline:
 
 
 def solve_cumulative_moments(spec, rho0, time_grid, x0_cov=None,
-                             step=1e-3, x0_feedback=True) -> CumulativeTimeline:
+                             step=1e-3, x0_feedback=True,
+                             weights=None) -> CumulativeTimeline:
     """Moments of the cumulative transition counts Y on `time_grid`
     (sorted, starting at the evaluation time, taken as relative 0).
 
@@ -309,7 +361,13 @@ def solve_cumulative_moments(spec, rho0, time_grid, x0_cov=None,
     If rho0 is at rest (`stationary.is_at_rest`) and the grid uniform to
     1e-9 relative, each grid interval is one exact step of the then
     time-invariant moment equations; otherwise RK4 steps of at most
-    `step` cover each interval."""
+    `step` cover each interval.
+
+    `weights`, a (p, n+K) array, asks for the variances w'Cw of its rows
+    only: the timeline then holds `var` of shape (n_grid, p) and no
+    `cov`.  The RK4 path still propagates C but keeps only these forms;
+    the exact path propagates one vector v <- E'v per row instead of C,
+    O(p (n+K)^2) per grid point against O((n+K)^3) and a Cholesky."""
     sys = spec.system()
     sys.check_domain(rho0)
     times = _grid(time_grid, step)
@@ -317,6 +375,9 @@ def solve_cumulative_moments(spec, rho0, time_grid, x0_cov=None,
     ell = sys.state_lengths
     x0_cov = _check_psd(np.zeros((ns, ns)) if x0_cov is None else x0_cov,
                         "initial covariance")
+    P = None if weights is None else np.asarray(weights, dtype=float)
+    if P is not None and (P.ndim != 2 or P.shape[1] != ns + K):
+        raise ValueError(f"weights must have shape (p, {ns + K})")
 
     rho = np.asarray(rho0, dtype=float)
     ybar = np.zeros(K)
@@ -332,6 +393,7 @@ def solve_cumulative_moments(spec, rho0, time_grid, x0_cov=None,
         return sys.LH @ Q, Q, dC
 
     h = _uniform_step(times)
+    covs = var = substeps = None
     if h is not None and is_at_rest(sys, rho):
         # rho stays put, so z' = A z + noise is time-invariant: each grid
         # interval is the same exact step.  `substeps` records the RK4
@@ -341,19 +403,24 @@ def solve_cumulative_moments(spec, rho0, time_grid, x0_cov=None,
         N[ns:, ns:] = np.diag(Q)
         E, W = _exact_step(A_of(rho), N, h)
         y_means = np.empty((len(times), K))
-        covs = np.empty((len(times), ns + K, ns + K))
-        y_means[0], covs[0] = ybar, C
+        y_means[0] = ybar
         for g in range(len(times) - 1):
-            C = E @ C @ E.T + W
-            C = 0.5 * (C + C.T)
-            if not _psd(C):
-                raise FloatingPointError(f"indefinite covariance at exact step {g}")
             ybar = ybar + Q * h
-            y_means[g + 1], covs[g + 1] = ybar, C
+            y_means[g + 1] = ybar
         rhos = np.full((len(times), ns), rho)
-        substeps = [_steps(h, step) for _ in range(len(times) - 1)]
-    else:
+        if P is None:
+            covs = _exact_covariances(E, W, C, len(times))
+            substeps = [_steps(h, step) for _ in range(len(times) - 1)]
+        else:
+            var = _exact_variances(E, W, C, P, len(times))
+    elif P is None:
         (rhos, y_means, covs), substeps = _march(
             lambda s, h: _step(sys, deriv, s, h), (rho, ybar, C), times, step)
+    else:
+        # one row at a time, so that a row's variance does not depend on
+        # the rows beside it
+        (rhos, y_means, var), _ = _march(
+            lambda s, h: _step(sys, deriv, s, h), (rho, ybar, C), times, step,
+            record=lambda s: (s[0], s[1], np.array([w @ s[2] @ w for w in P])))
     return CumulativeTimeline(sys, times, ell * np.asarray(rho0, dtype=float),
-                              y_means, covs, rhos, substeps, x0_feedback)
+                              y_means, covs, rhos, substeps, x0_feedback, var)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flux import DaganzoFlux, FluxFunction, _DaganzoKernel
+from .flux import DaganzoFlux, FluxFunction, TwoClassFlux, _DaganzoKernel
 
 __all__ = [
     "SegmentSpec",
@@ -165,6 +165,12 @@ class SegmentSpec:
             raise ValueError("lam/nu must have one entry per class")
         if any(x < 0 for x in self.lam) or any(x < 0 for x in self.nu):
             raise ValueError("boundary rates must be nonnegative")
+        if isinstance(self.flux, TwoClassFlux):
+            # an infinite demand has no class shares: inf / inf in the kernel
+            for j, x in enumerate(self.lam, 1):
+                if not np.isfinite(x):
+                    raise ValueError(f"arrival bound of class {j} must be "
+                                     f"finite for a two-class flux, not {x}")
 
     @staticmethod
     def uniform(d, cell_length, flux, lam, nu) -> "SegmentSpec":

@@ -7,7 +7,8 @@ cells i..i+k exits cell i+k once the cumulative outflow of cell i+k
 The tail P(T > x) is therefore the probability that the Gaussian
 variable D = Y_out(x) - X0 is still negative at lag x; its mean,
 variance, and the Cov(X0, Y) cross term are read off the augmented
-cumulative-moment solution.
+cumulative-moment solution, which is asked for the variance of D alone
+(one weight row per class).
 """
 
 from __future__ import annotations
@@ -75,30 +76,38 @@ def travel_time_tail(spec, state0, i, k, j, t, grid, x0_cov=None,
     grid_h = grid * HOURS_PER_SECOND
     solve_grid = grid_h if grid_h[0] == 0.0 else np.concatenate([[0.0], grid_h])
     offset = len(solve_grid) - len(grid_h)
+    ns = sys.n_state
+    weights = np.array([_weights(sys, i, k, jc) for jc in classes])
     cum = solve_cumulative_moments(sys, rho_t, solve_grid, x0_cov=cov_t,
-                                   step=step, x0_feedback=False)
+                                   step=step, x0_feedback=False,
+                                   weights=weights)
 
-    curves = [_tail_curve(cum, m, i, k, jc, t, grid, offset) for jc in classes]
+    curves = []
+    for c, (w, jc) in enumerate(zip(weights, classes)):
+        mean = cum.y_mean[offset:] @ w[ns:] + w[:ns] @ cum.x0_mean
+        curves.append(TailCurve(i, k, jc, t, grid,
+                                _tail(mean, cum.var[offset:, c])))
     return curves[0] if np.isscalar(j) else curves
 
 
-def _tail_curve(cum, m, i, k, j, t, grid, offset):
-    """P(T > x) for class j from the cumulative moments, whose grid has
-    `offset` extra leading points."""
-    ns, K = cum.system.n_state, cum.system.n_trans
-    w = np.zeros(ns + K)
+def _weights(sys, i, k, j):
+    """w with w'z = D = Y_out(x) - X0 for class j over cells i..i+k."""
+    m, ns = sys.m, sys.n_state
+    w = np.zeros(ns + sys.n_trans)
     for c in range(i, i + k + 1):  # vehicles initially ahead, cells i..i+k
         w[(c - 1) * m + (j - 1)] = -1.0
     w[ns + (i + k) * m + (j - 1)] = 1.0  # cumulative outflow of cell i+k
+    return w
 
-    mean = cum.y_mean[offset:] @ w[ns:] + w[:ns] @ cum.x0_mean
-    var = np.einsum("i,gij,j->g", w, cum.cov[offset:], w)
+
+def _tail(mean, var):
+    """P(D < 0) for Gaussian D of the given means and variances, made a
+    proper (nonincreasing) tail."""
     spread = var > 1e-18
     values = np.where(spread, ndtr(-mean / np.sqrt(np.where(spread, var, 1.0))),
                       mean < 0)
     np.clip(values, 0.0, 1.0, out=values)
-    values = np.minimum.accumulate(values)  # enforce a proper tail
-    return TailCurve(i, k, j, t, grid, values)
+    return np.minimum.accumulate(values)
 
 
 def travel_time_moments(curve: TailCurve):

@@ -14,6 +14,7 @@ from gaussctm.gaussian import (
 )
 from gaussctm.model import SegmentSpec
 from gaussctm.stationary import stationary_fixed_point
+from gaussctm.traveltime import _weights
 
 F = DaganzoFlux(DaganzoParams(v_f=80.0, w=16.0, rho_max=108.0, q_max=1800.0))
 
@@ -438,6 +439,58 @@ class TestExactSteps:
                                       x0_cov=np.diag([4.0, 9.0, 16.0]))
         np.testing.assert_allclose(ct.cross(0, 1)[:3], ct.cov[1][:3],
                                    rtol=1e-7, atol=1e-7)
+
+    @pytest.mark.parametrize("path", ["exact", "rk4"])
+    @pytest.mark.parametrize("x0_feedback", [True, False])
+    @pytest.mark.parametrize("spec", [
+        SegmentSpec.uniform(3, 0.5, F, 1400.0, 1200.0),
+        SegmentSpec.uniform(3, 0.5, TC, (1000.0, 250.0), (900.0, 100.0)),
+    ], ids=["daganzo", "two-class"])
+    def test_projected_variances_match_the_covariances(self, spec, x0_feedback,
+                                                       path, exact_steps):
+        # the travel-time rows of every class, and a dense row
+        sys = spec.system()
+        rows = [_weights(sys, 1, 2, j) for j in range(1, sys.m + 1)]
+        rows.append(np.random.default_rng(5).standard_normal(len(rows[0])))
+        fp = stationary_fixed_point(spec)
+        grid = np.linspace(0.0, 0.2, 201)
+        if path == "rk4":
+            grid = np.insert(grid, 1, 0.0005)  # not uniform
+        kw = dict(x0_cov=np.diag(fp.mu / 2.0), x0_feedback=x0_feedback)
+        full = solve_cumulative_moments(spec, fp.mu, grid, **kw)
+        proj = solve_cumulative_moments(spec, fp.mu, grid, weights=rows, **kw)
+        assert len(exact_steps) == (2 if path == "exact" else 0)
+        assert proj.cov is None and proj.var.shape == (len(grid), len(rows))
+        np.testing.assert_array_equal(proj.y_mean, full.y_mean)
+        want = np.array([[w @ C @ w for w in rows] for C in full.cov])
+        np.testing.assert_allclose(proj.var, want, rtol=1e-12)
+
+    def test_cross_needs_the_covariances(self):
+        spec = SegmentSpec.uniform(2, 1.0, F, 800.0, 1800.0)
+        ct = solve_cumulative_moments(spec, np.full(2, 10.0), [0.0, 0.05, 0.1],
+                                      weights=np.ones((1, 5)))
+        with pytest.raises(ValueError, match="without weights"):
+            ct.cross(0, 1)
+        with pytest.raises(ValueError, match="shape"):
+            solve_cumulative_moments(spec, np.full(2, 10.0), [0.0, 0.1],
+                                     weights=np.ones(5))
+
+    def test_indefinite_noise_integral_is_named(self, monkeypatch, exact_steps):
+        # one negative eigenvalue in W: the projected path checks W once,
+        # and, were that check passed, the projected variance itself
+        def indefinite(A, N, h):
+            E, W = exact_step(A, N, h)
+            return E, W - 10.0 * np.trace(W) * np.eye(len(W))
+        exact_step = gaussian._exact_step
+        monkeypatch.setattr(gaussian, "_exact_step", indefinite)
+        spec = SegmentSpec.uniform(3, 1.0, F, 800.0, 1800.0)
+        solve = lambda: solve_cumulative_moments(
+            spec, np.full(3, 10.0), [0.0, 0.01, 0.02], weights=np.eye(7)[[3]])
+        with pytest.raises(FloatingPointError, match="noise integral"):
+            solve()
+        monkeypatch.setattr(gaussian, "_psd", lambda C: True)
+        with pytest.raises(FloatingPointError, match="projected variance"):
+            solve()
 
     def test_a_start_off_rest_takes_rk4(self, exact_steps):
         spec = SegmentSpec.uniform(3, 1.0, F, 800.0, 1800.0)

@@ -67,6 +67,20 @@ class TestSegmentSpec:
         with pytest.raises(ValueError):
             SegmentSpec(3, (1.0, 1.0), F, (800.0,), (1800.0,))
 
+    @pytest.mark.parametrize("lam", [(np.inf, 100.0), (100.0, np.inf),
+                                     (np.nan, 100.0)])
+    def test_two_class_arrival_bound_must_be_finite(self, lam):
+        # an infinite occupancy demand would split as inf / inf: NaN rates
+        j = 1 + int(not np.isfinite(lam[1]))
+        with pytest.raises(ValueError, match=f"class {j} must be finite"):
+            SegmentSpec.uniform(2, 0.5, TC, lam, (2000.0, 500.0))
+
+    def test_daganzo_arrival_bound_may_be_infinite(self):
+        q = SegmentSpec.uniform(2, 0.5, F, np.inf, 1800.0).system().rates(np.zeros(2))
+        assert np.all(np.isfinite(q))
+        # arrivals into an empty cell: its receiving flow w rho_max
+        assert q[0] == F.params.w * F.params.rho_max
+
     def test_flux_type_checked_first(self):
         # d = 0 would fail the next check; the flux is named before it
         with pytest.raises(TypeError, match="not object"):
