@@ -216,7 +216,8 @@ class _DaganzoKernel:
     * merges (a, b, downstream, (p_a, p_b)): if D_a + D_b fit into the
       supply R each passes its demand, else a gets the median of
       (D_a, R - D_b, p_a R).
-    Junctions average the slopes of tied candidates."""
+    Junctions average the slopes of tied candidates.  `rates` and the
+    branch masks read one evaluation of the candidates per rho (`_flows`)."""
 
     def __init__(self, links, diverges=(), merges=()):
         K = self.K = 1 + max((len(br) for _, br in diverges), default=0)
@@ -257,32 +258,41 @@ class _DaganzoKernel:
         self.div_ent = div_ent[:, 1] - self.div_sl.start
         self.ent_p = self.trans_p[div_ent[:, 0] - nl]
         self.p = np.array([m[3] for m in merges], dtype=float).reshape(-1, 2)
+        self._key = None  # rho.tobytes() of the flows held by `_flows`
 
-    def _lin(self, rho):
-        return self.scale * (self.off + self.sgn * rho[self.idx])
-
-    def _merge(self, flow):
-        D, R = flow[:, :2], flow[:, 2:]
-        free = D[:, :1] + D[:, 1:] <= R
-        c = (D, R - D[:, ::-1], self.p * R)
-        med = np.maximum(np.minimum(D, c[1]), np.minimum(np.maximum(D, c[1]), c[2]))
-        return free, c, med
+    def _flows(self, rho):
+        """Raw candidates, capped link pairs, diverge quotients and their row
+        minima, and per merge (free, its candidates, their median) at rho;
+        the last result is kept, keyed on rho's value (callers clip in place)."""
+        key = rho.tobytes()
+        if key == self._key:
+            return self._last
+        lin = self.scale * (self.off + self.sgn * rho[self.idx])
+        flow = np.minimum(lin, self.cap)
+        vals = total = merge = None
+        if self.nd:
+            vals = (flow[self.div_sl] / self.div).reshape(-1, self.K)
+            total = vals.min(axis=1)
+        if self.nm:
+            m = flow[self.div_sl.stop:].reshape(-1, 3)
+            D, R = m[:, :2], m[:, 2:]
+            c = (D, R - D[:, ::-1], self.p * R)
+            med = np.maximum(np.minimum(D, c[1]), np.minimum(np.maximum(D, c[1]), c[2]))
+            merge = (D[:, :1] + D[:, 1:] <= R, c, med)
+        self._key, self._last = key, (lin, flow[:self.div_sl.start].reshape(-1, 2),
+                                      vals, total, merge)
+        return self._last
 
     def _masks(self, rho):
         """The branch masks that fix the Jacobian: candidates below their
         cap, the binding side of each link, the active candidates of each
         diverge, and per merge whether it is free and which of its three
         candidates equal the median (None without diverges or merges)."""
-        lin = self._lin(rho)
-        flow = np.minimum(lin, self.cap)
-        f = flow[:self.div_sl.start].reshape(-1, 2)
-        active = free = None
-        at_med = (None,) * 3
-        if self.nd:
-            vals = (flow[self.div_sl] / self.div).reshape(-1, self.K)
-            active = vals == vals.min(axis=1, keepdims=True)
+        lin, f, vals, total, merge = self._flows(rho)
+        active = None if vals is None else vals == total[:, None]
+        free, at_med = None, (None,) * 3
         if self.nm:
-            free, c, med = self._merge(flow[self.div_sl.stop:].reshape(-1, 3))
+            free, c, med = merge
             at_med = tuple(x == med for x in c)
         return (lin < self.cap, f < f[:, ::-1], active, free) + at_med
 
@@ -292,15 +302,13 @@ class _DaganzoKernel:
         return b"".join([m.tobytes() for m in self._masks(rho) if m is not None])
 
     def rates(self, rho):
-        flow = np.minimum(self._lin(rho), self.cap)
-        parts = [flow[:self.div_sl.start].reshape(-1, 2).min(axis=1)]
+        _, f, _, total, merge = self._flows(rho)
+        parts = [np.minimum(f[:, 0], f[:, 1])]
         if self.nd:
-            total = (flow[self.div_sl] / self.div).reshape(-1, self.K).min(axis=1)
             parts.append(self.trans_p * total[self.owner])
         if self.nm:
-            m = flow[self.div_sl.stop:].reshape(-1, 3)
-            free, _, med = self._merge(m)
-            parts.append(np.where(free, m[:, :2], med).ravel())
+            free, (D, *_), med = merge
+            parts.append(np.where(free, D, med).ravel())
         return np.concatenate(parts)
 
     def jacobian(self, rho):

@@ -192,8 +192,8 @@ def solve_moments(spec, rho0, M0, V0, time_grid, step=1e-3) -> GaussianTimeline:
     def deriv(r, m, v):
         Q = sys.rates(r)
         J = sys.drift_jacobian(r)
-        B = sys.LH * np.sqrt(Q)[None, :]
-        return (sys.LH @ Q, J @ m, J @ v + v @ J.T + B @ B.T)
+        JV = J @ v  # V is symmetric, so V J' = (J V)'; B B' = (LH Q) LH'
+        return (sys.LH @ Q, J @ m, JV + JV.T + (sys.LH * Q) @ sys.LH.T)
 
     (rhos, Ms, Vs), substeps = _march(
         lambda s, h: _step(sys, deriv, s, h), (rho, M, V), times, step)

@@ -11,11 +11,12 @@ The rates are compiled once into an array kernel of `gaussctm.flux`
 (index and parameter arrays over transitions and junctions), so
 `rates(rho)` is a few `np.minimum` reductions over whole arrays and
 `rate_jacobian(rho)` fills a fixed sparsity pattern from masks marking
-each rate's active branch.
-The Daganzo flux is piecewise linear, so its Jacobian is piecewise
-constant: a function of those masks alone (the branch regime).  Each
-system memoizes it per regime and hands out read-only arrays; the
-two-class shares vary continuously, so that Jacobian is computed anew.
+each rate's active branch; a Daganzo kernel evaluates its candidate flows
+once per density vector, for `rates` and the masks both.  The Daganzo flux
+is piecewise linear, so its Jacobian is piecewise constant: a function of
+those masks alone (the branch regime).  Each system memoizes it per regime,
+and the drift Jacobian LH dq beside it, as read-only arrays; the two-class
+shares vary continuously, so that Jacobian is computed anew.
 The exact simulator evaluates a junction-free Daganzo kernel's
 expression one transition at a time from the same arrays.
 At a kink, links and the two-class flux use a slope only when its branch
@@ -75,8 +76,9 @@ class TransitionSystem:
                               np.ceil(jam)).astype(int)
         self.cell_labels = cell_labels
         self.kernel = kernel
-        # rate_jacobian by branch regime, for kernels that have one
+        # rate_jacobian by branch regime (kernels that have one), J by dq
         self._jac_memo = {} if hasattr(kernel, "regime") else None
+        self._drift_memo = {}
 
         self.n_trans = len(src)
         self.src = np.array([-1 if s is None else s for s in src], dtype=int)
@@ -131,7 +133,16 @@ class TransitionSystem:
         return self.LH @ self.rates(rho)
 
     def drift_jacobian(self, rho):
-        return self.LH @ self.rate_jacobian(rho)
+        """LH @ rate_jacobian(rho); beside a read-only (memoized) rate
+        Jacobian it is memoized too, and read-only."""
+        dq = self.rate_jacobian(rho)
+        if dq.flags.writeable:
+            return self.LH @ dq
+        if id(dq) not in self._drift_memo:  # holding dq keeps its id its own
+            J = self.LH @ dq
+            J.flags.writeable = False
+            self._drift_memo[id(dq)] = dq, J
+        return self._drift_memo[id(dq)][1]
 
     def dispersion(self, rho):
         return self.LH * np.sqrt(self.rates(rho))[None, :]

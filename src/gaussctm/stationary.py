@@ -141,7 +141,7 @@ def _ptc(sys, dt):
             return mu, it
         if it == PTC_MAX_ITER:
             break
-        _, _, step, info = dgesv(eye / tau - LH @ sys.rate_jacobian(mu), F)
+        _, _, step, info = dgesv(eye / tau - sys.drift_jacobian(mu), F)
         if info:  # singular
             break
         mu = np.clip(mu + step, 0.0, sys.rho_jam)
@@ -197,9 +197,8 @@ def _euler(sys, dt, tol, max_iter, note=""):
     moving = True
     for it in range(1, max_iter + 1):
         Q = sys.rates(mu)
-        dQ = sys.rate_jacobian(mu)
         F = LH @ Q
-        J = LH @ dQ
+        J = sys.drift_jacobian(mu)
         B = LH * np.sqrt(Q)[None, :]
         Vdot = J @ V + V @ J.T + B @ B.T
         dmu = F * dt

@@ -443,6 +443,51 @@ def test_two_class_systems_have_no_memo():
 
 
 # ---------------------------------------------------------------------------
+# the flow cache: one candidate-flow evaluation per density vector
+
+
+CACHED_CALLS = {
+    "rates": lambda sys, rho: sys.rates(rho),
+    "rate_jacobian": lambda sys, rho: sys.rate_jacobian(rho),
+    "drift_jacobian": lambda sys, rho: sys.drift_jacobian(rho),
+    "regime": lambda sys, rho: np.frombuffer(sys.kernel.regime(rho), dtype=np.uint8),
+}
+
+
+def assert_cache_exact(build, states, data):
+    """`rates`, `rate_jacobian`, `drift_jacobian` and `regime`, called in
+    a drawn order on one array changed in place from state to state (as
+    `_rk4` clips rho), equal what a freshly built system returns for each
+    state; every returned rates array is then overwritten."""
+    sys, rho = build(), states[0].copy()
+    for state in states:
+        rho[:] = state
+        for name in data.draw(st.lists(st.sampled_from(sorted(CACHED_CALLS)),
+                                       min_size=1, max_size=5)):
+            got = CACHED_CALLS[name](sys, rho)
+            want = CACHED_CALLS[name](build(), state.copy())
+            assert got.shape == want.shape and np.all(got == want), name
+            if name == "rates":
+                got[:] = np.nan
+
+
+@SETTINGS
+@given(st.integers(1, 6), bound, bound, st.data())
+def test_flow_cache_matches_fresh_system_on_segments(d, lam, nu, data):
+    states = data.draw(walks(d, segment_walk_density))
+    assert_cache_exact(lambda: SegmentSpec.uniform(d, 0.5, DAG, lam, nu).system(),
+                       states, data)
+
+
+@SETTINGS
+@given(st.sampled_from([0.25, 0.5, 0.75]), st.data())
+def test_flow_cache_matches_fresh_system_on_network(p12, data):
+    n = example().system().n_state
+    states = data.draw(walks(n, network_density))
+    assert_cache_exact(lambda: example(p12).system(), states, data)
+
+
+# ---------------------------------------------------------------------------
 # central differences away from kinks
 
 
