@@ -388,7 +388,8 @@ def solve_cumulative_moments(spec, rho0, time_grid, x0_cov=None,
     def deriv(r, y, c):
         Q = sys.rates(r)
         A = A_of(r)
-        dC = A @ c + c @ A.T
+        AC = A @ c  # C is symmetric, so C A' = (A C)'
+        dC = AC + AC.T
         dC[ns:, ns:] += np.diag(Q)
         return sys.LH @ Q, Q, dC
 

@@ -194,6 +194,20 @@ class TestJointMarginal:
             marg[int(round(x1 * 11.0 / 108.0))] += p
         np.testing.assert_allclose(marg, m1.probs, atol=2e-3)
 
+    def test_three_cells_repeatable(self):
+        # three cells take scipy's randomized QMC cdf: two identical calls
+        # must still give identical probabilities
+        fp = stationary_fixed_point(
+            SegmentSpec.uniform(3, 3.0 / 108.0, F, 1400.0, 1800.0))
+        pts, probs = joint_marginal(fp, [1, 2, 3])
+        assert len(pts) == 64
+        assert np.array_equal(probs, joint_marginal(fp, [1, 2, 3])[1])
+        m1 = cell_marginal(fp, 1)
+        marg = np.zeros(len(m1.support))
+        for (x1, _, _), p in zip(pts, probs):
+            marg[int(round(x1 * 3.0 / 108.0))] += p
+        np.testing.assert_allclose(marg, m1.probs, atol=2e-3)
+
     def test_too_many_cells(self):
         fp = stationary_fixed_point(
             SegmentSpec.uniform(4, 11.0 / 108.0, F, 800.0, 1800.0))

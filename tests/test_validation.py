@@ -2,9 +2,12 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 from scipy.stats import chi2, kstest, norm
 
+from gaussctm import validation
 from gaussctm.validation import (
     DF,
     EXCLUDED_WEEKDAYS,
@@ -153,6 +156,27 @@ class TestChi2Normality:
             chi2_normality(rng.standard_t(df=2, size=240)).p_value
             for _ in range(200)])
         assert np.mean(pvals < 0.05) > 0.5
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(MIN_SAMPLE, 400).flatmap(lambda n: arrays(
+        np.float64, n, elements=st.floats(-1e4, 1e4))))
+    def test_bins_and_p_value_are_scipy_stats_exactly(self, x):
+        mean, std = float(x.mean()), float(x.std())
+        assume(std > 0)
+        binned = []
+        searchsorted = np.searchsorted
+
+        def spy(edges, values):
+            binned.append(np.array(edges))
+            return searchsorted(edges, values)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(validation.np, "searchsorted", spy)
+            res = chi2_normality(x)
+        assert len(binned) == 1
+        edges = norm.ppf(np.arange(1, N_BINS) / N_BINS, loc=mean, scale=std)
+        assert np.array_equal(binned[0], edges)
+        assert res.p_value == chi2.sf(res.statistic, DF)
 
 
 class TestLinearCombinations:
