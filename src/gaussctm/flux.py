@@ -69,10 +69,28 @@ class TwoClassParams:
             raise ValueError("require beta in (0, 1)")
 
 
+def check_occupancy(amounts, jam, m, what="density"):
+    """Raise ValueError unless `amounts` per (cell, class), cell-major
+    with m classes, are nonnegative and fill no cell past jam: the sum
+    over a cell's classes of amount / jam, `jam` being the jam density
+    (or count) of each class alone, is at most 1 to 1e-9.  This is the
+    occupancy bound of the two-class diagram, whose jam densities are
+    N / L_j, and rho <= rho_max for the triangular one."""
+    a = np.asarray(amounts, dtype=float)
+    if not np.all(a >= -1e-12):
+        raise ValueError(f"negative {what}")
+    if not np.all((a / jam).reshape(-1, m).sum(axis=1) <= 1.0 + 1e-9):
+        raise ValueError(f"{what} fills a cell past its jam occupancy")
+
+
 class FluxFunction:
     """A diagram of m classes, read one boundary at a time from the
     kernel that its subclass compiles.  Densities and flows are per-class
     vectors (veh/km, veh/h), gradients m x m: (j, k) = d flow_j / d rho_k."""
+
+    def check_domain(self, rho):
+        """The densities of one cell lie within the diagram's domain."""
+        check_occupancy(rho, self.rho_jam, self.m)
 
     def _boundary(self, b, cells, lam=0.0, nu=0.0):
         """Boundary b of the kernel of len(cells) cells: its flows, then
@@ -131,11 +149,6 @@ class DaganzoFlux(FluxFunction):
     def q_max(self) -> np.ndarray:
         return np.array([self.params.q_max])
 
-    def check_domain(self, rho):
-        r = float(np.asarray(rho).reshape(-1)[0])
-        if not (0.0 <= r <= self.params.rho_max):
-            raise ValueError(f"density {r} outside [0, {self.params.rho_max}]")
-
     def kernel(self, d, lam, nu):
         p = self.params
         caps = [min(lam[0], p.q_max)] + [p.q_max] * (d - 1) + [min(nu[0], p.q_max)]
@@ -186,13 +199,6 @@ class TwoClassFlux(FluxFunction):
     @property
     def q_max(self) -> np.ndarray:
         return self.capacity_occ / self.lengths
-
-    def check_domain(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        if np.any(rho < 0):
-            raise ValueError("negative density")
-        if float(rho @ self.lengths) > self.params.N + 1e-12:
-            raise ValueError("occupancy exceeds lane count")
 
     def kernel(self, d, lam, nu):
         return _TwoClassKernel(self, d, lam, nu)

@@ -6,27 +6,25 @@ Solves, with one shared fixed-step RK4 integrator,
     M'    = dF(rho) M                  (mean of the Gaussian deviation)
     V'    = dF V + V dF' + B B'        (covariance, B = dispersion)
 
-plus the cumulative-arrival process Y (one coordinate per transition),
-whose Gaussian moments are propagated on the augmented vector
-z = (X(0), Y) with block dynamics  dY = dQ(rho) L (dX0 + H dY)  and
-independent Poisson noise diag(Q(rho)) on the Y block.  Keeping X(0)
-inside z makes Cov(X(0), Y(t)) available directly, which the
-travel-time tail needs.  From a fixed point of the fluid drift on a
-uniform grid, rho stays put and the cumulative moments obey a linear
-time-invariant ODE: they then take one exact step per grid interval,
+plus the cumulative transition counts Y (one coordinate per
+transition), counted from the start: their mean follows the fluid
+rates Q(rho) and their covariance C, zero at the start, obeys
+C' = A C + C A' + diag Q(rho) with A(rho) = dQ(rho) LH, the rate
+Jacobian composed with the count-to-density map.  From a fixed point of
+the fluid drift on a uniform grid, rho stays put and these equations
+are time-invariant: they then take one exact step per grid interval,
 C <- E C E' + W with E = exp(A h) and the noise integral W from Van
 Loan's block exponential (1978), in place of RK4.  A caller that reads
 only the variances w'Cw of a few fixed weight rows w (the travel-time
 tail reads one per class) passes them as `weights`: the solve then
 stores those quadratic forms instead of C.  On the exact path it never
-forms C at all: C_k = E^k C_0 E'^k + sum_{i<k} E^i W E'^i, so one
-vector recursion v <- E'v per row gives
-w'C_k w = v_k'C_0 v_k + sum_{i<k} v_i'W v_i.  Every solver covers
-each interval of the caller's increasing `time_grid` (taken relative to
-its first point) with equal RK4 steps of at most `step`, and stores
-results at the grid points only: cross-time covariances and the
-fundamental solution are computed on demand by one forward propagator
-G' = G A(rho)^T along the solvers' own RK4 steps.
+forms C at all: C_k = sum_{i<k} E^i W E'^i, so one vector recursion
+v <- E'v per row gives w'C_k w = sum_{i<k} v_i'W v_i.  Every solver
+covers each interval of the caller's increasing `time_grid` (taken
+relative to its first point) with equal RK4 steps of at most `step`,
+and stores results at the grid points only: cross-time covariances and
+the fundamental solution are computed on demand by one forward
+propagator G' = G A(rho)^T along the solvers' own RK4 steps.
 """
 
 from __future__ import annotations
@@ -221,18 +219,9 @@ def fundamental_solution(timeline: GaussianTimeline, s, t):
     return _forward(timeline, s, t, lambda k: np.eye(timeline.system.n_state)).T
 
 
-def _augmented(sys, x0_feedback):
-    """A(rho) of the linearized augmented dynamics z' = A(rho) z."""
-    ns, K = sys.n_state, sys.n_trans
-
-    def jac(r):
-        dQ = sys.rate_jacobian(r)
-        A = np.zeros((ns + K, ns + K))
-        if x0_feedback:
-            A[ns:, :ns] = dQ * (1.0 / sys.state_lengths)[None, :]
-        A[ns:, ns:] = dQ @ sys.LH
-        return A
-    return jac
+def _count_jacobian(sys):
+    """A(rho) = dQ(rho) LH of the linearized cumulative counts Y' = A Y."""
+    return lambda r: sys.rate_jacobian(r) @ sys.LH
 
 
 def _uniform_step(times):
@@ -262,10 +251,10 @@ def _exact_step(A, N, h):
     return E, 0.5 * (W + W.T)
 
 
-def _exact_covariances(E, W, C, n):
-    """C at n grid points of C <- E C E' + W, each checked PSD."""
-    covs = np.empty((n,) + C.shape)
-    covs[0] = C
+def _exact_covariances(E, W, n):
+    """C at n grid points of C <- E C E' + W from C = 0, each checked PSD."""
+    covs = np.zeros((n,) + W.shape)
+    C = covs[0]
     for g in range(1, n):
         C = E @ C @ E.T + W
         C = 0.5 * (C + C.T)
@@ -275,134 +264,104 @@ def _exact_covariances(E, W, C, n):
     return covs
 
 
-def _exact_variances(E, W, C, P, n):
-    """w'C_g w at n grid points of C_g <- E C_{g-1} E' + W, for each
-    row w of P, without forming C_g: with v_g = E'^g w it is
-    v_g'C v_g + sum_{i<g} v_i'W v_i.  C is PSD on entry and W is checked
-    once; a variance below -1e-9 max(its scale, 1), the scale being
-    what its terms could reach from PSD matrices, is reported."""
+def _exact_variances(E, W, P, n):
+    """w'C_g w at n grid points of C_g <- E C_{g-1} E' + W from C_0 = 0,
+    for each row w of P, without forming C_g: with v_g = E'^g w it is
+    sum_{i<g} v_i'W v_i.  W is checked once; a variance below
+    -1e-9 max(its scale, 1), the scale being what its terms could reach
+    from a PSD W, is reported."""
     if not _psd(W):
         raise FloatingPointError("indefinite noise integral of the exact step")
-    var = np.empty((n, len(P)))
+    var = np.zeros((n, len(P)))
     for c, w in enumerate(P):
-        v = np.empty((n, len(w)))
-        v[0] = w
-        for g in range(1, n):
-            v[g] = v[g - 1] @ E
-        var[:, c] = ((v @ C) * v).sum(axis=1)
-        var[1:, c] += np.cumsum(((v[:-1] @ W) * v[:-1]).sum(axis=1))
-        norm2 = (v * v).sum(axis=1)
-        scale = norm2 * np.trace(C)
-        scale[1:] += np.cumsum(norm2[:-1]) * np.trace(W)
-        bad = ~(var[:, c] >= -1e-9 * np.maximum(scale, 1.0))
+        v = np.empty((n - 1, len(w)))
+        for g in range(n - 1):
+            v[g] = w if g == 0 else v[g - 1] @ E
+        var[1:, c] = np.cumsum(((v @ W) * v).sum(axis=1))
+        scale = np.cumsum((v * v).sum(axis=1)) * np.trace(W)
+        bad = ~(var[1:, c] >= -1e-9 * np.maximum(scale, 1.0))
         if bad.any():
             raise FloatingPointError(
-                f"negative projected variance at exact step {np.argmax(bad) - 1}")
+                f"negative projected variance at exact step {np.argmax(bad)}")
     return var
 
 
 class CumulativeTimeline:
-    """Gaussian moments of z = (X(0), Y) on a declared time grid.
+    """Gaussian moments of the cumulative counts Y on a declared grid.
 
-    `cov[k]` is the covariance of z at grid point k; the constant X(0)
-    block keeps Cov(X(0), Y(t)) explicit.  `rho[k]` is the fluid density
-    at grid point k and `substeps[k]` the RK4 steps taken from there to
+    `cov[k]` is the covariance of Y at grid point k, `rho[k]` the fluid
+    density there and `substeps[k]` the RK4 steps taken from there to
     k + 1, from which `cross` propagates covariances across grid points
     on demand.  A timeline solved with `weights` holds instead
     `var[k, c]` = w_c' cov[k] w_c for each weight row w_c, with `cov`
-    and `substeps` None, and cannot give `cross`."""
+    and `substeps` None, and cannot give `cross`.  `x0_mean` holds the
+    initial counts per (cell, class)."""
 
     def __init__(self, system, times, x0_mean, y_mean, cov, rho, substeps,
-                 x0_feedback, var=None):
+                 var=None):
         self.system = system
         self.times = times
         self.x0_mean = x0_mean  # vehicles per (cell, class)
         self.y_mean = y_mean  # (n_grid, n_trans)
-        self.cov = cov  # (n_grid, n+K, n+K), or None with `var`
+        self.cov = cov  # (n_grid, n_trans, n_trans), or None with `var`
         self.var = var  # (n_grid, n_weights), or None
         self.rho = rho  # (n_grid, n)
         self.substeps = substeps
-        self.x0_feedback = x0_feedback
         self.props = []  # never stored; read only by perfbench/tracer.py
 
-    def z_mean(self, k):
-        return np.concatenate([self.x0_mean, self.y_mean[k]])
-
     def cross(self, a, b):
-        """Cov(z(t_a), z(t_b)) for grid indices a <= b."""
+        """Cov(Y(t_a), Y(t_b)) for grid indices a <= b."""
         if self.cov is None:
             raise ValueError("cross needs the covariances: solve without weights")
         if a > b:
             raise ValueError("need a <= b")
-        return _propagate(self, a, b, self.cov[a],
-                          _augmented(self.system, self.x0_feedback))
+        return _propagate(self, a, b, self.cov[a], _count_jacobian(self.system))
 
 
-def solve_cumulative_moments(spec, rho0, time_grid, x0_cov=None,
-                             step=1e-3, x0_feedback=True,
+def solve_cumulative_moments(spec, rho0, time_grid, *, step=1e-3,
                              weights=None) -> CumulativeTimeline:
     """Moments of the cumulative transition counts Y on `time_grid`
-    (sorted, starting at the evaluation time, taken as relative 0).
-
-    `x0_cov` is the covariance of the initial density vector (zero for
-    a deterministic start); it is converted to vehicle counts and seeds
-    the X(0) block of the augmented covariance.
-
-    With `x0_feedback` the initial-count fluctuation perturbs the
-    transition rates through the linearized state map (the physically
-    consistent choice, under which flow conservation gradually cancels
-    the initial uncertainty out of long-lag cumulative flows).  Without
-    it, X(0) is exogenous observer uncertainty: it stays in the joint
-    vector but the rate linearization is taken around the fluid path
-    only — the convention of the route-comparison studies, where the
-    initial covariance models a driver's uncertainty about the queue
-    ahead rather than physical dispersion.
+    (sorted, starting at the evaluation time, taken as relative 0),
+    from Y = 0 with zero covariance.
 
     If rho0 is at rest (`stationary.is_at_rest`) and the grid uniform to
     1e-9 relative, each grid interval is one exact step of the then
     time-invariant moment equations; otherwise RK4 steps of at most
     `step` cover each interval.
 
-    `weights`, a (p, n+K) array, asks for the variances w'Cw of its rows
-    only: the timeline then holds `var` of shape (n_grid, p) and no
+    `weights`, a (p, n_trans) array, asks for the variances w'Cw of its
+    rows only: the timeline then holds `var` of shape (n_grid, p) and no
     `cov`.  The RK4 path still propagates C but keeps only these forms;
     the exact path propagates one vector v <- E'v per row instead of C,
-    O(p (n+K)^2) per grid point against O((n+K)^3) and a Cholesky."""
+    O(p K^2) per grid point against O(K^3) and a Cholesky."""
     sys = spec.system()
     sys.check_domain(rho0)
     times = _grid(time_grid, step)
     ns, K = sys.n_state, sys.n_trans
-    ell = sys.state_lengths
-    x0_cov = _check_psd(np.zeros((ns, ns)) if x0_cov is None else x0_cov,
-                        "initial covariance")
     P = None if weights is None else np.asarray(weights, dtype=float)
-    if P is not None and (P.ndim != 2 or P.shape[1] != ns + K):
-        raise ValueError(f"weights must have shape (p, {ns + K})")
+    if P is not None and (P.ndim != 2 or P.shape[1] != K):
+        raise ValueError(f"weights must have shape (p, {K})")
 
     rho = np.asarray(rho0, dtype=float)
     ybar = np.zeros(K)
-    C = np.zeros((ns + K, ns + K))
-    C[:ns, :ns] = (ell[:, None] * x0_cov) * ell[None, :]
-    A_of = _augmented(sys, x0_feedback)
+    C = np.zeros((K, K))
+    A_of = _count_jacobian(sys)
 
     def deriv(r, y, c):
         Q = sys.rates(r)
-        A = A_of(r)
-        AC = A @ c  # C is symmetric, so C A' = (A C)'
+        AC = A_of(r) @ c  # C is symmetric, so C A' = (A C)'
         dC = AC + AC.T
-        dC[ns:, ns:] += np.diag(Q)
+        dC.reshape(-1)[::K + 1] += Q
         return sys.LH @ Q, Q, dC
 
     h = _uniform_step(times)
     covs = var = substeps = None
     if h is not None and is_at_rest(sys, rho):
-        # rho stays put, so z' = A z + noise is time-invariant: each grid
+        # rho stays put, so Y' = A Y + noise is time-invariant: each grid
         # interval is the same exact step.  `substeps` records the RK4
         # steps along which `cross` propagates, as on the RK4 path.
         Q = sys.rates(rho)
-        N = np.zeros((ns + K, ns + K))
-        N[ns:, ns:] = np.diag(Q)
-        E, W = _exact_step(A_of(rho), N, h)
+        E, W = _exact_step(A_of(rho), np.diag(Q), h)
         y_means = np.empty((len(times), K))
         y_means[0] = ybar
         for g in range(len(times) - 1):
@@ -410,10 +369,10 @@ def solve_cumulative_moments(spec, rho0, time_grid, x0_cov=None,
             y_means[g + 1] = ybar
         rhos = np.full((len(times), ns), rho)
         if P is None:
-            covs = _exact_covariances(E, W, C, len(times))
+            covs = _exact_covariances(E, W, len(times))
             substeps = [_steps(h, step) for _ in range(len(times) - 1)]
         else:
-            var = _exact_variances(E, W, C, P, len(times))
+            var = _exact_variances(E, W, P, len(times))
     elif P is None:
         (rhos, y_means, covs), substeps = _march(
             lambda s, h: _step(sys, deriv, s, h), (rho, ybar, C), times, step)
@@ -423,5 +382,5 @@ def solve_cumulative_moments(spec, rho0, time_grid, x0_cov=None,
         (rhos, y_means, var), _ = _march(
             lambda s, h: _step(sys, deriv, s, h), (rho, ybar, C), times, step,
             record=lambda s: (s[0], s[1], np.array([w @ s[2] @ w for w in P])))
-    return CumulativeTimeline(sys, times, ell * np.asarray(rho0, dtype=float),
-                              y_means, covs, rhos, substeps, x0_feedback, var)
+    return CumulativeTimeline(sys, times, sys.state_lengths * rho, y_means,
+                              covs, rhos, substeps, var)

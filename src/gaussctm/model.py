@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flux import DaganzoFlux, FluxFunction, TwoClassFlux, _DaganzoKernel
+from .flux import (DaganzoFlux, FluxFunction, TwoClassFlux, _DaganzoKernel,
+                   check_occupancy)
 
 __all__ = [
     "SegmentSpec",
@@ -102,8 +103,7 @@ class TransitionSystem:
         rho = np.asarray(rho, dtype=float)
         if rho.shape != (self.n_state,):
             raise ValueError(f"state must have shape ({self.n_state},)")
-        if np.any(rho < -1e-12) or np.any(rho > self.rho_jam + 1e-9):
-            raise ValueError("density outside [0, rho_jam]")
+        check_occupancy(rho, self.rho_jam, self.m)
 
     def rates(self, rho):
         q = self.kernel.rates(np.asarray(rho, dtype=float))

@@ -23,7 +23,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .flux import _DaganzoKernel
+from .flux import _DaganzoKernel, check_occupancy
 
 __all__ = ["SimConfig", "Trajectory", "SimulationError", "simulate",
            "estimate_throughput", "ensemble_moments", "EnsembleMoments"]
@@ -141,8 +141,7 @@ def simulate(spec, initial_counts, cfg: SimConfig, rng=None) -> Trajectory:
     if not np.all(x0 == np.rint(x0)):
         raise ValueError("initial counts must be integers")
     x0 = x0.astype(np.int64)
-    if np.any(x0 < 0) or np.any(x0 > sys.x_jam):
-        raise ValueError("initial counts outside [0, x_jam]")
+    check_occupancy(x0, sys.x_jam, sys.m, "initial counts")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 

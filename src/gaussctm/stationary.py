@@ -283,12 +283,9 @@ def joint_marginal(point: StationaryPoint, cells, cls=1):
     mvn = multivariate_normal(mean=mean, cov=cov, allow_singular=True, seed=0)
     pts = list(itertools.product(*supports))
     h = 0.5 / ells
-    # rectangle probability by inclusion-exclusion over box corners
-    probs = np.zeros(len(pts))
-    for signs in itertools.product((1.0, -1.0), repeat=len(idxs)):
-        corner = np.asarray(pts) + np.asarray(signs) * h
-        probs += np.prod(signs) * mvn.cdf(corner)
-    probs = np.maximum(probs, 0.0)
+    # the probability of each cell of the support, one box per point
+    box = np.asarray(pts)
+    probs = np.maximum(mvn.cdf(box + h, lower_limit=box - h), 0.0)
     return pts, probs / probs.sum()
 
 

@@ -5,10 +5,14 @@ A vehicle entering cell i at time t with X0 vehicles ahead of it in
 cells i..i+k exits cell i+k once the cumulative outflow of cell i+k
 (counted from t) reaches X0, overtaking within a class being neglected.
 The tail P(T > x) is therefore the probability that the Gaussian
-variable D = Y_out(x) - X0 is still negative at lag x; its mean,
-variance, and the Cov(X0, Y) cross term are read off the augmented
-cumulative-moment solution, which is asked for the variance of D alone
-(one weight row per class).
+variable D = Y_out(x) - X0 is still negative at lag x.  X0 carries
+the covariance given for the start, scaled from densities to counts,
+as exogenous uncertainty about the queue ahead: the rates are
+linearized about the fluid path alone, so the fluctuation of Y does
+not depend on X0.  D therefore has mean E Y_out(x) - E X0 and variance
+Var Y_out(x) + w'Cov(X0)w, w the mask of cells i..i+k.  One
+cumulative-moment solve, asked for Var Y_out(x) alone (one weight row
+per class), serves every requested class.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .gaussian import solve_cumulative_moments, solve_moments
+from .gaussian import _check_psd, solve_cumulative_moments, solve_moments
 
 __all__ = ["TailCurve", "GridCoverageError", "travel_time_tail",
            "travel_time_moments", "default_grid"]
@@ -66,38 +70,45 @@ def travel_time_tail(spec, state0, i, k, j, t, grid, x0_cov=None,
     if np.any(grid < 0) or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be nonnegative ascending")
 
+    ns = sys.n_state
+    if x0_cov is not None:
+        if np.shape(x0_cov) != (ns, ns):
+            raise ValueError(f"x0_cov must have shape ({ns}, {ns})")
+        x0_cov = _check_psd(x0_cov, "initial covariance")
+
     rho_t = np.asarray(state0, dtype=float)
-    cov_t = x0_cov
+    cov_t = np.zeros((ns, ns)) if x0_cov is None else x0_cov
     if t > 0:
-        V0 = np.zeros((sys.n_state, sys.n_state)) if x0_cov is None else x0_cov
-        tl = solve_moments(sys, rho_t, np.zeros(sys.n_state), V0, [0.0, t], step)
+        tl = solve_moments(sys, rho_t, np.zeros(ns), cov_t, [0.0, t], step)
         rho_t, cov_t = tl.mean[-1], tl.V[-1]
 
     grid_h = grid * HOURS_PER_SECOND
     solve_grid = grid_h if grid_h[0] == 0.0 else np.concatenate([[0.0], grid_h])
     offset = len(solve_grid) - len(grid_h)
-    ns = sys.n_state
-    weights = np.array([_weights(sys, i, k, jc) for jc in classes])
-    cum = solve_cumulative_moments(sys, rho_t, solve_grid, x0_cov=cov_t,
-                                   step=step, x0_feedback=False,
-                                   weights=weights)
+    ahead, outflow = zip(*(_weights(sys, i, k, jc) for jc in classes))
+    cum = solve_cumulative_moments(sys, rho_t, solve_grid, step=step,
+                                   weights=np.array(outflow))
+    ell = sys.state_lengths
+    counts_cov = (ell[:, None] * cov_t) * ell[None, :]
 
     curves = []
-    for c, (w, jc) in enumerate(zip(weights, classes)):
-        mean = cum.y_mean[offset:] @ w[ns:] + w[:ns] @ cum.x0_mean
-        curves.append(TailCurve(i, k, jc, t, grid,
-                                _tail(mean, cum.var[offset:, c])))
+    for c, (w_x, w_y, jc) in enumerate(zip(ahead, outflow, classes)):
+        mean = cum.y_mean[offset:] @ w_y + w_x @ cum.x0_mean
+        var = cum.var[offset:, c] + w_x @ counts_cov @ w_x
+        curves.append(TailCurve(i, k, jc, t, grid, _tail(mean, var)))
     return curves[0] if np.isscalar(j) else curves
 
 
 def _weights(sys, i, k, j):
-    """w with w'z = D = Y_out(x) - X0 for class j over cells i..i+k."""
-    m, ns = sys.m, sys.n_state
-    w = np.zeros(ns + sys.n_trans)
-    for c in range(i, i + k + 1):  # vehicles initially ahead, cells i..i+k
-        w[(c - 1) * m + (j - 1)] = -1.0
-    w[ns + (i + k) * m + (j - 1)] = 1.0  # cumulative outflow of cell i+k
-    return w
+    """(w_x, w_y) with D = w_x'X(0) + w_y'Y = Y_out(x) - X0 for class j
+    over cells i..i+k: w_x is -1 on cells i..i+k, w_y picks the
+    cumulative outflow of cell i+k."""
+    m = sys.m
+    w_x = np.zeros(sys.n_state)
+    w_x[(i - 1) * m + (j - 1):(i + k) * m:m] = -1.0
+    w_y = np.zeros(sys.n_trans)
+    w_y[(i + k) * m + (j - 1)] = 1.0
+    return w_x, w_y
 
 
 def _tail(mean, var):

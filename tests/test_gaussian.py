@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from gaussctm import gaussian
 from gaussctm.cli import example_network
@@ -13,6 +14,7 @@ from gaussctm.gaussian import (
     solve_moments,
 )
 from gaussctm.model import SegmentSpec
+from gaussctm.simulator import SimConfig, simulate
 from gaussctm.stationary import stationary_fixed_point
 from gaussctm.traveltime import _weights
 
@@ -228,21 +230,13 @@ class TestCumulativeMoments:
         spec = SegmentSpec.uniform(1, 1.0, DaganzoFlux(p), 500.0, 0.0)
         ct = solve_cumulative_moments(spec, np.zeros(1), [0.0, 1.0], step=1e-2)
         np.testing.assert_allclose(ct.y_mean[-1][0], 500.0, rtol=1e-9)
-        np.testing.assert_allclose(ct.cov[-1][1, 1], 500.0, rtol=1e-9)
+        np.testing.assert_allclose(ct.cov[-1][0, 0], 500.0, rtol=1e-9)
 
     def test_initial_point_is_zero(self):
         spec = SegmentSpec.uniform(2, 1.0, F, 800.0, 1800.0)
         ct = solve_cumulative_moments(spec, np.full(2, 10.0), [0.0, 0.1])
         np.testing.assert_array_equal(ct.y_mean[0], 0.0)
         np.testing.assert_array_equal(ct.cov[0], 0.0)
-
-    def test_x0_block_stays_constant(self):
-        spec = SegmentSpec.uniform(2, 1.0, F, 800.0, 1800.0)
-        x0_cov = np.diag([4.0, 9.0])
-        ct = solve_cumulative_moments(spec, np.full(2, 10.0), [0.0, 0.1, 0.2],
-                                      x0_cov=x0_cov, x0_feedback=False)
-        for k in range(3):
-            np.testing.assert_allclose(ct.cov[k][:2, :2], x0_cov, atol=1e-9)
 
     def test_cross_consistency(self):
         spec = SegmentSpec.uniform(2, 1.0, F, 800.0, 1800.0)
@@ -259,21 +253,23 @@ class TestCumulativeMoments:
         ct = solve_cumulative_moments(spec, np.zeros(1), [0.0, 0.3, 0.7, 1.0],
                                       step=1e-2)
         for a, b in ((1, 2), (1, 3), (0, 3), (2, 3)):
-            np.testing.assert_allclose(ct.cross(a, b)[1, 1],
+            np.testing.assert_allclose(ct.cross(a, b)[0, 0],
                                        500.0 * ct.times[a], rtol=1e-9, atol=1e-9)
 
-    @pytest.mark.parametrize("x0_feedback", [True, False])
-    def test_cross_keeps_the_initial_counts(self, x0_feedback):
-        # X(0) does not move, so Cov(X(0), z(t_b)) read off cross(a, b)
-        # equals the X(0) rows of cov[b], on a congested segment
+    def test_cross_follows_the_count_jacobian_at_rest(self):
+        # at a fixed point A = dQ LH is constant, so
+        # Cov(Y(t_a), Y(t_b)) = C(t_a) exp(A (t_b - t_a))', on a congested
+        # segment whose A couples every count
         spec = SegmentSpec.uniform(3, 0.5, F, 1400.0, 1200.0)
-        ct = solve_cumulative_moments(spec, np.array([20.0, 40.0, 60.0]),
-                                      [0.0, 0.02, 0.05, 0.1],
-                                      x0_cov=np.diag([4.0, 9.0, 16.0]),
-                                      x0_feedback=x0_feedback)
+        fp = stationary_fixed_point(spec)
+        ct = solve_cumulative_moments(spec, fp.mu, [0.0, 0.02, 0.04, 0.06],
+                                      step=1e-4)
+        sys = spec.system()
+        A = sys.rate_jacobian(fp.mu) @ sys.LH
+        assert np.count_nonzero(A) > 4
         G = ct.cross(1, 3)
-        np.testing.assert_allclose(G[:3], ct.cov[3][:3], rtol=1e-9, atol=1e-9)
-        np.testing.assert_allclose(G[:, :3], ct.cov[1][:, :3], atol=1e-12)
+        want = ct.cov[1] @ expm(A * (ct.times[3] - ct.times[1])).T
+        np.testing.assert_allclose(G, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
 
     def test_grid_validation(self):
         spec = SegmentSpec.uniform(2, 1.0, F, 800.0, 1800.0)
@@ -339,14 +335,40 @@ class TestInvariants:
             assert_symmetric_psd(V)
 
     @INVARIANTS
-    @given(segments(), st.booleans())
-    def test_cumulative_covariance_symmetric_psd_at_every_point(self, case,
-                                                                feedback):
-        spec, rho, x0_cov = case
-        ct = solve_cumulative_moments(spec, rho, np.linspace(0.0, 0.05, 11),
-                                      x0_cov=x0_cov, x0_feedback=feedback)
+    @given(segments())
+    def test_cumulative_covariance_symmetric_psd_at_every_point(self, case):
+        spec, rho, _ = case
+        ct = solve_cumulative_moments(spec, rho, np.linspace(0.0, 0.05, 11))
+        assert ct.cov.shape == (11, spec.system().n_trans, spec.system().n_trans)
         for C in ct.cov:
             assert_symmetric_psd(C)
+
+
+class TestDomain:
+    def test_two_class_state_past_the_jam_occupancy_is_rejected(self):
+        # each class at 0.9 of its jam density fills a 3-lane cell to
+        # occupancy 5.4: within [0, rho_jam] class by class, but past the
+        # diagram's bound, where the rates clip to 0 and their Jacobian
+        # keeps its slopes
+        spec = SegmentSpec.uniform(2, 0.5, TC, (1000.0, 250.0), (900.0, 100.0))
+        sys = spec.system()
+        rho = 0.9 * sys.rho_jam
+        with pytest.raises(ValueError, match="jam occupancy"):
+            TC.check_domain(rho[:2])
+        for solve in all_solvers(spec, rho):
+            with pytest.raises(ValueError, match="jam occupancy"):
+                solve([0.0, 0.01])
+        with pytest.raises(ValueError, match="jam occupancy"):
+            simulate(sys, np.rint(0.9 * sys.x_jam).astype(int),
+                     SimConfig(horizon=0.01))
+
+    def test_a_full_two_class_cell_is_in_the_domain(self):
+        # half of each class's jam density: occupancy N exactly
+        spec = SegmentSpec.uniform(2, 0.5, TC, (1000.0, 250.0), (900.0, 100.0))
+        sys = spec.system()
+        for solve in all_solvers(spec, 0.5 * sys.rho_jam):
+            solve([0.0, 0.01])
+        simulate(sys, sys.x_jam // 2, SimConfig(horizon=0.01))
 
 
 class TestStepSplitting:
@@ -395,26 +417,31 @@ class TestExactSteps:
         monkeypatch.setattr(gaussian, "_exact_step", spy)
         return calls
 
-    @pytest.mark.parametrize("x0_feedback", [True, False])
+    @pytest.mark.parametrize("projected", [True, False])
     @pytest.mark.parametrize("spec", [
         SegmentSpec.uniform(3, 0.5, F, 1400.0, 1200.0),
         SegmentSpec.uniform(3, 0.5, TC, (1000.0, 250.0), (900.0, 100.0)),
     ], ids=["daganzo", "two-class"])
-    def test_match_rk4_from_fixed_points(self, spec, x0_feedback, exact_steps):
+    def test_match_rk4_from_fixed_points(self, spec, projected, exact_steps):
+        # the covariances, or the variances of the travel-time rows and a
+        # dense row (`weights`), against RK4 on a grid that is not uniform
+        sys = spec.system()
+        rows = [_weights(sys, 1, 2, j)[1] for j in range(1, sys.m + 1)]
+        rows.append(np.random.default_rng(3).standard_normal(sys.n_trans))
+        kw = dict(step=1e-4, weights=rows if projected else None)
         fp = stationary_fixed_point(spec)
-        x0_cov = np.diag(fp.mu / 2.0)
         grid = np.linspace(0.0, 0.05, 26)
-        exact = solve_cumulative_moments(spec, fp.mu, grid, x0_cov=x0_cov,
-                                         step=1e-4, x0_feedback=x0_feedback)
+        exact = solve_cumulative_moments(spec, fp.mu, grid, **kw)
         assert exact_steps == [pytest.approx(0.002, rel=1e-12)]
         rk4_grid = np.insert(grid, 1, 0.001)  # not uniform
-        rk4 = solve_cumulative_moments(spec, fp.mu, rk4_grid, x0_cov=x0_cov,
-                                       step=1e-4, x0_feedback=x0_feedback)
+        rk4 = solve_cumulative_moments(spec, fp.mu, rk4_grid, **kw)
         assert len(exact_steps) == 1
         keep = np.delete(np.arange(len(rk4_grid)), 1)
         np.testing.assert_allclose(exact.y_mean, rk4.y_mean[keep], rtol=1e-7)
-        np.testing.assert_allclose(exact.cov, rk4.cov[keep], rtol=1e-7,
-                                   atol=1e-7 * np.abs(rk4.cov).max())
+        got, want = (exact.var, rk4.var) if projected else (exact.cov, rk4.cov)
+        assert (exact.cov is None) == projected
+        np.testing.assert_allclose(got, want[keep], rtol=1e-7,
+                                   atol=1e-7 * np.abs(want).max())
 
     def test_long_interval(self, exact_steps):
         # one 0.25 h step: W comes from 2^k doublings of a short Van Loan
@@ -427,53 +454,63 @@ class TestExactSteps:
         np.testing.assert_allclose(exact.cov[-1], rk4.cov[-1], rtol=1e-7,
                                    atol=1e-7 * np.abs(rk4.cov[-1]).max())
         # the arrivals are a Poisson stream of rate lam: Var Y_0 = lam t
-        np.testing.assert_allclose(exact.cov[-1][3, 3], 200.0, rtol=1e-9)
+        np.testing.assert_allclose(exact.cov[-1][0, 0], 200.0, rtol=1e-9)
         assert np.trace(exact.cov[-1]) < 1e3
 
     def test_cross_over_a_long_interval(self):
-        # cross re-runs RK4 steps of at most `step` across the interval:
-        # Cov(X(0), z(0.25)) read off cross(0, 1) equals the X(0) rows of
-        # cov[1]
+        # cross re-runs RK4 steps of at most `step` across each exact
+        # 0.25 h interval: C(0.25) exp(0.25 A)', and for the Poisson
+        # arrivals Cov(Y_0(0.25), Y_0(0.5)) = lam 0.25
         spec = SegmentSpec.uniform(3, 1.0, F, 800.0, 1800.0)
-        ct = solve_cumulative_moments(spec, np.full(3, 10.0), [0.0, 0.25],
-                                      x0_cov=np.diag([4.0, 9.0, 16.0]))
-        np.testing.assert_allclose(ct.cross(0, 1)[:3], ct.cov[1][:3],
-                                   rtol=1e-7, atol=1e-7)
+        ct = solve_cumulative_moments(spec, np.full(3, 10.0), [0.0, 0.25, 0.5])
+        sys = spec.system()
+        A = sys.rate_jacobian(np.full(3, 10.0)) @ sys.LH
+        G = ct.cross(1, 2)
+        np.testing.assert_allclose(G, ct.cov[1] @ expm(0.25 * A).T,
+                                   rtol=1e-7, atol=1e-7 * np.abs(G).max())
+        np.testing.assert_allclose(G[0, 0], 200.0, rtol=1e-9)
 
     @pytest.mark.parametrize("path", ["exact", "rk4"])
-    @pytest.mark.parametrize("x0_feedback", [True, False])
+    @pytest.mark.parametrize("alone", [True, False])
     @pytest.mark.parametrize("spec", [
         SegmentSpec.uniform(3, 0.5, F, 1400.0, 1200.0),
         SegmentSpec.uniform(3, 0.5, TC, (1000.0, 250.0), (900.0, 100.0)),
     ], ids=["daganzo", "two-class"])
-    def test_projected_variances_match_the_covariances(self, spec, x0_feedback,
+    def test_projected_variances_match_the_covariances(self, spec, alone,
                                                        path, exact_steps):
-        # the travel-time rows of every class, and a dense row
+        # the travel-time rows of every class, and a dense row; `alone`
+        # also solves each row by itself, which gives the same variances
+        # bit for bit: a row's variance does not depend on its neighbours
         sys = spec.system()
-        rows = [_weights(sys, 1, 2, j) for j in range(1, sys.m + 1)]
-        rows.append(np.random.default_rng(5).standard_normal(len(rows[0])))
+        rows = [_weights(sys, 1, 2, j)[1] for j in range(1, sys.m + 1)]
+        rows.append(np.random.default_rng(5).standard_normal(sys.n_trans))
         fp = stationary_fixed_point(spec)
         grid = np.linspace(0.0, 0.2, 201)
         if path == "rk4":
             grid = np.insert(grid, 1, 0.0005)  # not uniform
-        kw = dict(x0_cov=np.diag(fp.mu / 2.0), x0_feedback=x0_feedback)
-        full = solve_cumulative_moments(spec, fp.mu, grid, **kw)
-        proj = solve_cumulative_moments(spec, fp.mu, grid, weights=rows, **kw)
-        assert len(exact_steps) == (2 if path == "exact" else 0)
+        full = solve_cumulative_moments(spec, fp.mu, grid)
+        proj = solve_cumulative_moments(spec, fp.mu, grid, weights=rows)
         assert proj.cov is None and proj.var.shape == (len(grid), len(rows))
         np.testing.assert_array_equal(proj.y_mean, full.y_mean)
         want = np.array([[w @ C @ w for w in rows] for C in full.cov])
         np.testing.assert_allclose(proj.var, want, rtol=1e-12)
+        if alone:
+            for c, w in enumerate(rows):
+                one = solve_cumulative_moments(spec, fp.mu, grid, weights=[w])
+                np.testing.assert_array_equal(one.var[:, 0], proj.var[:, c])
+        solves = 2 + alone * len(rows)
+        assert len(exact_steps) == (solves if path == "exact" else 0)
 
     def test_cross_needs_the_covariances(self):
         spec = SegmentSpec.uniform(2, 1.0, F, 800.0, 1800.0)
         ct = solve_cumulative_moments(spec, np.full(2, 10.0), [0.0, 0.05, 0.1],
-                                      weights=np.ones((1, 5)))
+                                      weights=np.ones((1, 3)))
         with pytest.raises(ValueError, match="without weights"):
             ct.cross(0, 1)
-        with pytest.raises(ValueError, match="shape"):
-            solve_cumulative_moments(spec, np.full(2, 10.0), [0.0, 0.1],
-                                     weights=np.ones(5))
+        for bad in (np.ones(3), np.ones((1, 5))):
+            with pytest.raises(ValueError, match="shape"):
+                solve_cumulative_moments(spec, np.full(2, 10.0), [0.0, 0.1],
+                                         weights=bad)
 
     def test_indefinite_noise_integral_is_named(self, monkeypatch, exact_steps):
         # one negative eigenvalue in W: the projected path checks W once,
@@ -485,7 +522,7 @@ class TestExactSteps:
         monkeypatch.setattr(gaussian, "_exact_step", indefinite)
         spec = SegmentSpec.uniform(3, 1.0, F, 800.0, 1800.0)
         solve = lambda: solve_cumulative_moments(
-            spec, np.full(3, 10.0), [0.0, 0.01, 0.02], weights=np.eye(7)[[3]])
+            spec, np.full(3, 10.0), [0.0, 0.01, 0.02], weights=np.eye(4)[[0]])
         with pytest.raises(FloatingPointError, match="noise integral"):
             solve()
         monkeypatch.setattr(gaussian, "_psd", lambda C: True)

@@ -7,13 +7,14 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import gaussctm
 import gaussctm.cli
 from gaussctm.cli import example_network
 from gaussctm.flux import (DaganzoFlux, DaganzoParams, TwoClassFlux, TwoClassParams,
                            discrete_flux)
-from gaussctm.gaussian import solve_moments
+from gaussctm.gaussian import solve_cumulative_moments, solve_moments
 from gaussctm.model import SegmentSpec, TransitionSystem
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -70,6 +71,37 @@ def test_one_rates_and_one_rate_jacobian_call_per_rk4_stage():
     assert stages == 400
     assert np.sum(called == "model:TransitionSystem.rates") == stages
     assert np.sum(called == "model:TransitionSystem.rate_jacobian") == stages
+
+
+@pytest.mark.parametrize("t, rho0, exact", [(0.0, 10.0, True), (0.05, 15.0, False)],
+                         ids=["exact", "rk4"])
+def test_cumulative_observer_counts_the_travel_time_solve(t, rho0, exact,
+                                                          monkeypatch):
+    # from the fixed point at t = 0 the solve takes exact steps; from the
+    # moments at t > 0 of a start off rest, RK4 steps.  `step` is
+    # keyword-only, so the observer reads it from the keywords and never
+    # a positional `weights` array
+    exact_steps = []
+    step = gaussctm.gaussian._exact_step
+    monkeypatch.setattr(gaussctm.gaussian, "_exact_step",
+                        lambda *a: (exact_steps.append(1), step(*a))[1])
+    spec = SegmentSpec.uniform(3, 1.0, DAG, 800.0, 1800.0)
+    grid = gaussctm.traveltime.default_grid(600.0, 201)
+    tracer = load_tracer().Tracer()
+    tracer.install(gaussctm)
+    try:
+        gaussctm.traveltime.travel_time_tail(spec, np.full(3, rho0), i=1, k=2,
+                                             j=1, t=t, grid=grid,
+                                             x0_cov=np.eye(3))
+        sp = tracer.spans()
+    finally:
+        tracer.uninstall()
+    assert bool(exact_steps) == exact
+    called = sp["names"][sp["name"]]
+    assert np.sum(called == "gaussian:gaussctm.traveltime.solve_cumulative_moments") == 1
+    assert tracer.counters["gaussian.rk4_steps"] >= len(grid) - 1
+    with pytest.raises(TypeError):
+        solve_cumulative_moments(spec, np.full(3, rho0), grid / 3600.0, 1e-3)
 
 
 def test_drift_jacobian_is_memoized_read_only_on_daganzo_networks():

@@ -64,25 +64,67 @@ class TestTail:
             np.testing.assert_array_equal(curve.values, one.values)
 
     def test_curve_matches_the_per_point_reference(self):
-        # one grid point at a time, as the vectorized curve replaced it;
-        # the sums run in another order, so 1e-12 relative
+        # one grid point at a time from the full covariance of Y, plus the
+        # variance of the initial counts ahead (0.5 km cells: counts are
+        # half the densities); the sums run in another order, so 1e-12
+        # relative
         spec = self.spec(ell=0.5, lam=1400.0, nu=1200.0)
         rho = np.array([20.0, 40.0, 60.0])
         grid = default_grid(600.0, 201)
-        cum = solve_cumulative_moments(spec, rho, grid / 3600.0,
-                                       x0_cov=np.diag(rho / 2.0),
-                                       x0_feedback=False)
+        cum = solve_cumulative_moments(spec, rho, grid / 3600.0)
         curve = travel_time_tail(spec, rho, i=1, k=2, j=1, t=0.0, grid=grid,
                                  x0_cov=np.diag(rho / 2.0))
-        w = np.array([-1.0, -1.0, -1.0, 0.0, 0.0, 0.0, 1.0])
+        w_y = np.array([0.0, 0.0, 0.0, 1.0])
+        ahead, ahead_var = 0.5 * rho.sum(), 0.25 * (rho / 2.0).sum()
         ref = np.empty(len(grid))
         for g in range(len(grid)):
-            mean = float(w @ cum.z_mean(g))
-            var = float(w @ cum.cov[g] @ w)
+            mean = float(w_y @ cum.y_mean[g]) - ahead
+            var = float(w_y @ cum.cov[g] @ w_y) + ahead_var
             ref[g] = (1.0 if mean < 0 else 0.0) if var <= 1e-18 else ndtr(-mean / np.sqrt(var))
         ref = np.minimum.accumulate(np.clip(ref, 0.0, 1.0))
         assert 0.0 < ref[-1] < ref[0] == 1.0
         np.testing.assert_allclose(curve.values, ref, rtol=1e-12, atol=0)
+
+    def test_initial_covariance_adds_a_constant_variance(self):
+        # per class j, the tail with x0_cov is the tail of the variance
+        # without it plus w_x'(l Sigma l)w_x, w_x the -1 mask of class j
+        # over cells 2..3 and l the cell length; Sigma couples cells and
+        # classes
+        tc = TwoClassFlux(TwoClassParams(v_f1=108.0, v_f2=79.2, v_c=61.2,
+                                         L1=0.0065, L2=0.0165, N=3, beta=0.25))
+        spec = SegmentSpec.uniform(4, 0.5, tc, (900.0, 300.0), (2000.0, 600.0))
+        rho = np.tile([8.0, 3.0], 4)
+        root = np.random.default_rng(7).standard_normal((8, 8))
+        sigma = root @ root.T
+        grid = default_grid(300.0, 101)
+        curves = travel_time_tail(spec, rho, i=2, k=1, j=(1, 2), t=0.0,
+                                  grid=grid, x0_cov=sigma)
+        sys = spec.system()
+        for j, curve in zip((1, 2), curves):
+            w_y = np.zeros(sys.n_trans)
+            w_y[3 * 2 + j - 1] = 1.0  # the outflow of cell 3, class j
+            cum = solve_cumulative_moments(sys, rho, grid / 3600.0,
+                                           weights=[w_y])
+            w_x = np.zeros(8)
+            w_x[[2 + j - 1, 4 + j - 1]] = -1.0
+            mean = cum.y_mean @ w_y + w_x @ (0.5 * rho)
+            var = cum.var[:, 0] + 0.25 * (w_x @ sigma @ w_x)
+            ref = np.minimum.accumulate(ndtr(-mean / np.sqrt(var)))
+            assert curve.j == j and 0.0 < ref[-1] < ref[0]
+            np.testing.assert_allclose(curve.values, ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("t", [0.0, 0.01])
+    def test_bad_initial_covariance_raises(self, t):
+        spec = self.spec()
+        grid = default_grid(400.0, 41)
+        bad = (np.eye(2),                        # shape
+               np.diag([1.0, -1.0, 1.0]),        # indefinite
+               np.triu(np.ones((3, 3))),         # not symmetric
+               np.diag([1.0, np.nan, 1.0]))      # not finite
+        for x0_cov in bad:
+            with pytest.raises(ValueError):
+                travel_time_tail(spec, np.full(3, 10.0), i=1, k=2, j=1,
+                                 t=t, grid=grid, x0_cov=x0_cov)
 
     def test_free_flow_mean(self):
         spec = self.spec()
