@@ -30,8 +30,6 @@ propagator G' = G A(rho)^T along the solvers' own RK4 steps.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.linalg.lapack import dpotrf
 
 from .stationary import is_at_rest
 
@@ -48,11 +46,14 @@ __all__ = [
 
 def _psd(C):
     """Whether C is finite with no eigenvalue below -1e-9 max(trace C, 1),
-    by a LAPACK Cholesky factorization of the shifted matrix."""
-    shifted = np.array(C, dtype=float, order="C")
+    by a Cholesky factorization of the shifted matrix (its lower triangle)."""
+    shifted = np.array(C, dtype=float)
     shifted.reshape(-1)[::len(C) + 1] += 1e-9 * max(np.trace(C), 1.0)
-    L, info = dpotrf(shifted.T, lower=1, clean=0, overwrite_a=1)
-    return info == 0 and bool(np.isfinite(np.trace(L)))
+    try:
+        L = np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(np.trace(L)))
 
 
 def _check_psd(V, what="covariance"):
@@ -238,6 +239,7 @@ def _exact_step(A, N, h):
     block exponential (1978) runs on h / 2^k with ||A||_1 h / 2^k <= 1/2,
     then k doublings W <- E W E' + W, E <- E E: over a long h the block
     exponential holds e^{-A h}, and W cancels catastrophically in it."""
+    from scipy.linalg import expm
     n = len(A)
     k = int(np.ceil(np.log2(max(2.0 * np.linalg.norm(A, 1) * h, 1.0))))
     block = np.zeros((2 * n, 2 * n))

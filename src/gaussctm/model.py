@@ -92,7 +92,6 @@ class TransitionSystem:
         H[self.dst[self.dst >= 0], t[self.dst >= 0]] = 1.0
         H[self.src[self.src >= 0], t[self.src >= 0]] -= 1.0
         self.H = H
-        self.L = np.diag(1.0 / self.state_lengths)
         self.LH = H / self.state_lengths[:, None]
 
     def system(self):

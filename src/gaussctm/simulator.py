@@ -8,7 +8,9 @@ method), from exponential and uniform variates drawn in blocks.  For a
 Daganzo kernel of links only (a segment) the loop evaluates the kernel's
 expression per transition and refreshes, after an event, only the rates
 that read the changed cells (Gibson & Bruck 2000); any other kernel
-gives one whole-array `rates` call per event.  A run records the event
+gives one whole-array `rates` call per event; with two or more classes,
+that path also gives zero rate to an arrival that would fill its cell
+past the jam occupancy.  A run records the event
 times, the fired transitions and the boundary rate sums; the counts are
 derived from these when first read.
 """
@@ -120,6 +122,27 @@ def _link_rates(sys):
             for s, d in zip(sys.src.tolist(), sys.dst.tolist())] + [rows]
 
 
+def _occupancy_bound(sys):
+    """For m >= 2 classes, (G, thr) such that transition k's arrival would
+    fill its destination cell past the jam occupancy iff G[k] @ rho >
+    thr[k]: the sum over the cell's classes of rho / rho_jam, after the
+    arrival, above 1 to 1e-9 as in `check_occupancy`.  The two-class
+    supply stays positive below full occupancy, and one class-j vehicle
+    adds L_j / (N l) to it.  None for one class, whose receiving rate is
+    already 0 at x_jam."""
+    if sys.m == 1:
+        return None
+    into = np.flatnonzero(sys.dst >= 0)
+    d = sys.dst[into]
+    G = np.zeros((sys.n_trans, sys.n_state))
+    for j in range(sys.m):
+        state = d - d % sys.m + j
+        G[into, state] = 1.0 / sys.rho_jam[state]
+    thr = np.full(sys.n_trans, np.inf)
+    thr[into] = 1.0 + 1e-9 - 1.0 / (sys.rho_jam[d] * sys.state_lengths[d])
+    return G, thr
+
+
 def _sum_over(idx):
     """q -> the sum of q[i] over idx, in order."""
     if len(idx) == 1:
@@ -157,6 +180,7 @@ def simulate(spec, initial_counts, cfg: SimConfig, rng=None) -> Trajectory:
     arr_sum = _sum_over(np.flatnonzero(sys.src < 0).tolist())
     dep_sum = _sum_over(np.flatnonzero(sys.dst < 0).tolist())
     after = _link_rates(sys)  # after[-1]: before the first event, every rate
+    bound = _occupancy_bound(sys)
     q = [0.0] * n
 
     times, trans, arr_rate, dep_rate = [0.0], [], [], []
@@ -168,7 +192,12 @@ def simulate(spec, initial_counts, cfg: SimConfig, rng=None) -> Trajectory:
     absorbed = False
     while True:
         if after is None:
-            q = sys.rates(np.array(rho)).tolist()
+            r = np.array(rho)
+            q = sys.rates(r)
+            if bound is not None:
+                G, thr = bound
+                q[G @ r > thr] = 0.0
+            q = q.tolist()
         else:
             for i, i0, a0, o0, s0, c0, i1, a1, o1, s1, c1 in after[k]:
                 # max(0, min(min(f0, c0), min(f1, c1))) without calls

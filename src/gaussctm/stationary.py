@@ -19,9 +19,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig, eigvals, solve_continuous_lyapunov
-from scipy.linalg.lapack import dgesv
-from scipy.special import ndtr
 
 from .model import TransitionSystem
 
@@ -93,6 +90,7 @@ def stationary_fixed_point(spec, dt=0.001, tol=1e-9,
     has a non-decaying mode, the forward-Euler iteration of the paper
     (`_euler`, with `dt`, `tol` and `max_iter`) runs from zero instead;
     `method` says which of the two produced the point."""
+    from scipy.linalg import solve_continuous_lyapunov
     sys = spec.system()
     mu, iterations = _ptc(sys, dt)
     note = ""
@@ -130,6 +128,7 @@ def _ptc(sys, dt):
     (switched evolution relaxation).  Returns mu, or None if the drift
     residual misses DRIFT_RTOL within PTC_MAX_ITER steps, and the number
     of steps taken."""
+    from scipy.linalg.lapack import dgesv
     LH, eye = sys.LH, np.eye(sys.n_state)
     mu = np.zeros(sys.n_state)
     Q = sys.rates(mu)
@@ -163,6 +162,7 @@ def _critical_cells(sys, J):
     non-decaying modes of J, those whose eigenvalues have
     Re >= -HURWITZ_MARGIN max(1, ||J||_inf): the states holding at least
     a tenth of the largest eigenvector entry.  Empty if J is Hurwitz."""
+    from scipy.linalg import eig, eigvals
     margin = _margin(J)
     if eigvals(J).real.max() < -margin:
         return []
@@ -189,6 +189,7 @@ def _euler(sys, dt, tol, max_iter, note=""):
     update shrinks the distance at every step until rounding noise in V
     sets a floor; if the distance makes no new minimum for STALL_STEPS
     steps, that floor lies above tol and it raises too."""
+    from scipy.linalg import eigvals
     ns = sys.n_state
     LH = sys.LH
     mu = np.zeros(ns)
@@ -244,6 +245,7 @@ def cell_marginal(point: StationaryPoint, cell, cls=1) -> DiscreteMarginal:
     """Discrete marginal of the vehicle density in one (cell, class):
     the stationary Gaussian integrated over rectangles of half-width
     1/(2*l) around each attainable density, renormalized."""
+    from scipy.special import ndtr
     sys = point.system
     idx = (cell - 1) * sys.m + (cls - 1)
     if not 0 <= idx < sys.n_state:

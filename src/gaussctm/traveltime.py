@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .gaussian import _check_psd, solve_cumulative_moments, solve_moments
 
@@ -114,6 +113,7 @@ def _weights(sys, i, k, j):
 def _tail(mean, var):
     """P(D < 0) for Gaussian D of the given means and variances, made a
     proper (nonincreasing) tail."""
+    from scipy.special import ndtr
     spread = var > 1e-18
     values = np.where(spread, ndtr(-mean / np.sqrt(np.where(spread, var, 1.0))),
                       mean < 0)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from datetime import datetime
 
 import numpy as np
-from scipy.special import chdtrc, ndtri
 
 __all__ = [
     "FlowSeries", "SlotSample", "TestResult", "IngestReport",
@@ -142,6 +141,7 @@ def _values(sample):
 def chi2_normality(sample, label="univariate") -> TestResult:
     """Chi-squared normality test with 10 equiprobable bins at the
     deciles of the fitted normal (MLE: mean, 1/n std)."""
+    from scipy.special import chdtrc, ndtri
     x = _values(sample)
     slot = sample.slot if isinstance(sample, SlotSample) else 0
     n = len(x)

@@ -324,6 +324,43 @@ def assert_symmetric_psd(C):
     assert np.linalg.eigvalsh(C).min() >= -1e-9 * max(np.trace(C), 1.0)
 
 
+def _spectral(eigenvalues):
+    """A dense symmetric matrix with the given eigenvalues."""
+    Q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal(
+        (len(eigenvalues),) * 2))
+    C = (Q * eigenvalues) @ Q.T
+    return 0.5 * (C + C.T)
+
+
+def _with_entry(value):
+    C = _spectral([4.0, 3.0, 2.0, 1.0, 0.5])
+    C[1, 2] = C[2, 1] = value
+    return C
+
+
+# the shift is 1e-9 max(trace, 1): the large cases have trace 10, the
+# small ones trace 1.1e-3, so that the 1 in the max sets their shift
+@pytest.mark.parametrize("C, verdict", [
+    (np.zeros((5, 5)), True),
+    (_spectral([4.0, 3.0, 2.0, 0.0, 0.0]), True),
+    (_spectral([4.0, 3.0, 2.0, 1.0, -1e-5]), False),
+    (_spectral([4.0, 3.0, 2.0, 1.0, -5e-9]), True),
+    (_spectral([4.0, 3.0, 2.0, 1.0, -2e-8]), False),
+    (_spectral([1e-3, 1e-4, -5e-10]), True),
+    (_spectral([1e-3, 1e-4, -2e-9]), False),
+    (_with_entry(np.nan), False),
+    (_with_entry(np.inf), False),
+], ids=["zero", "rank-deficient", "negative-1e-6-trace", "inside-shift",
+        "outside-shift", "inside-unit-shift", "outside-unit-shift", "nan",
+        "inf"])
+def test_psd_verdict_matches_the_spectrum(C, verdict):
+    # the eigenvalue oracle: finite, with no eigenvalue below the shift
+    oracle = bool(np.isfinite(C).all()) and bool(
+        np.linalg.eigvalsh(C).min() >= -1e-9 * max(np.trace(C), 1.0))
+    assert oracle == verdict
+    assert gaussian._psd(C) is verdict
+
+
 class TestInvariants:
     @INVARIANTS
     @given(segments())

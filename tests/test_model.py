@@ -200,13 +200,13 @@ class TestRateVector:
 class TestIncidence:
     def test_two_cell_structure(self):
         sys = seg(d=2).system()
-        L, H = sys.L, sys.H
-        np.testing.assert_array_equal(L, np.eye(2))
+        H = sys.H
         np.testing.assert_array_equal(H, [[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
+        np.testing.assert_array_equal(sys.LH, np.eye(2) @ H)
 
     def test_length_scaling(self):
         sys = SegmentSpec.uniform(2, 2.0, F, 800.0, 1800.0).system()
-        np.testing.assert_array_equal(sys.L, np.eye(2) / 2.0)
+        np.testing.assert_array_equal(sys.LH, (np.eye(2) / 2.0) @ sys.H)
 
     def test_two_class_layout(self):
         tc = TwoClassFlux(TwoClassParams(v_f1=108.0, v_f2=79.2, v_c=61.2,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaussctm.cli import example_network
-from gaussctm.flux import DaganzoFlux, DaganzoParams
+from gaussctm.flux import DaganzoFlux, DaganzoParams, TwoClassFlux, TwoClassParams
 from gaussctm.model import SegmentSpec
 from gaussctm.simulator import (
     SimConfig,
@@ -16,6 +16,8 @@ from gaussctm.simulator import (
 )
 
 F = DaganzoFlux(DaganzoParams(v_f=80.0, w=16.0, rho_max=108.0, q_max=1800.0))
+TC = TwoClassFlux(TwoClassParams(v_f1=108.0, v_f2=79.2, v_c=61.2, L1=0.0065,
+                                 L2=0.0165, N=3, beta=0.25))
 
 
 def seg(d=1, ell=1.0, lam=800.0, nu=1800.0):
@@ -155,6 +157,66 @@ class TestSimulate:
                         SimConfig(horizon=0.2, seed=3))
         assert traj.n_events > 100
         assert len(calls) == traj.n_events + 1
+
+
+@st.composite
+def systems_and_counts(draw):
+    """A Daganzo segment, a two-class segment or the example network, and
+    whole counts inside its domain, often near full so that the chain
+    meets its jam occupancy within a short run."""
+    rate = st.floats(0.0, 3000.0)
+    d, ell = draw(st.integers(1, 3)), draw(st.floats(0.05, 1.0))
+    kind = draw(st.sampled_from(["daganzo", "two-class", "network"]))
+    if kind == "network":
+        splits = [draw(st.floats(0.05, 0.95)) for _ in range(4)]
+        f = {r: F for r in ("r1", "r2", "r3", "r4", "r5", "r6")}
+        sys = example_network(d, ell, f, *splits, draw(rate), draw(rate)).system()
+    elif kind == "daganzo":
+        sys = seg(d, ell, draw(rate), draw(rate)).system()
+    else:
+        sys = SegmentSpec.uniform(d, ell, TC, (draw(rate), draw(rate)),
+                                  (draw(rate), draw(rate))).system()
+    # per cell, a fill in [0, 1] of the jam occupancy shared over the classes
+    fill = st.sampled_from([0.0, 0.5, 0.9, 0.99, 1.0]) | st.floats(0.0, 1.0)
+    fill = draw(st.lists(fill, min_size=sys.n_cells, max_size=sys.n_cells))
+    share = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=sys.n_state,
+                                   max_size=sys.n_state))).reshape(-1, sys.m)
+    share = share / np.maximum(share.sum(axis=1, keepdims=True), 1e-300)
+    jam = sys.rho_jam * sys.state_lengths
+    x0 = np.floor(np.repeat(fill, sys.m) * share.ravel() * jam).astype(int)
+    return sys, x0
+
+
+class TestDomain:
+    @settings(max_examples=60, deadline=None)
+    @given(systems_and_counts(), st.floats(0.01, 0.1), st.integers(0, 2**32 - 1))
+    def test_every_reached_state_is_in_the_domain(self, case, horizon, seed):
+        sys, x0 = case
+        traj = simulate(sys, x0, SimConfig(horizon=horizon, seed=seed))
+        for counts in traj.counts:
+            rho = counts / sys.state_lengths
+            if sys.m == 1:
+                # a full cell holds x_jam = ceil(rho_jam l) vehicles (see
+                # test_fractional_jam_count_holds): it stands for rho_jam
+                rho = np.where(counts == sys.x_jam, sys.rho_jam, rho)
+            sys.check_domain(rho)
+        # the fullest state reached, and the last, restart the chain
+        fill = ((traj.counts / (sys.rho_jam * sys.state_lengths))
+                .reshape(len(traj.counts), -1, sys.m).sum(axis=2).max(axis=1))
+        for counts in (traj.counts[np.argmax(fill)], traj.counts[-1]):
+            simulate(sys, counts, SimConfig(horizon=0.01, seed=seed))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_two_class_cell_fills_to_its_lane_count_and_stops(self, seed):
+        # arrivals into one closed cell: the supply stays positive up to
+        # occupancy N = 3, so the chain absorbs only once one more car
+        # would pass N: within a car's occupancy L1 / l of N, not above it
+        sys = SegmentSpec.uniform(1, 0.5, TC, (3000.0, 1000.0), (0.0, 0.0)).system()
+        traj = simulate(sys, [0, 0], SimConfig(horizon=2.0, seed=seed))
+        occupancy = traj.counts[-1] @ TC.lengths / 0.5
+        assert traj.absorbed
+        assert 3.0 - TC.params.L1 / 0.5 < occupancy <= 3.0 + 1e-9
+        simulate(sys, traj.counts[-1], SimConfig(horizon=0.1, seed=seed))
 
 
 class TestThroughput:
