@@ -305,13 +305,13 @@ def run_network(cfg, out, seed, dry_run=False):
         net = example_network(d, ell, fluxes, p12, p23, p45, p36, lam, nu)
         sys_ = net.system()
         n = sys_.n_state
-        tl = solve_moments(sys_, np.zeros(n), np.zeros(n), np.zeros((n, n)),
+        tl = solve_moments(sys_, np.zeros(n), np.zeros((n, n)),
                            samples_s / 3600.0, step)
         for k, t_s in enumerate(samples_s):
             sd = np.sqrt(np.maximum(np.diag(tl.V[k]), 0.0))
             for c in range(n):
                 rows.append((p12, t_s, sys_.cell_labels[c],
-                             tl.mean[k][c], sd[c]))
+                             tl.rho[k][c], sd[c]))
     _write_csv(out, ("p12", "time_s", "cell", "mean_veh_per_km",
                      "std_veh_per_km"), rows)
 

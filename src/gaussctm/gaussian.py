@@ -3,8 +3,7 @@
 Solves, with one shared fixed-step RK4 integrator,
 
     rho'  = F(rho)                     (fluid / law of large numbers)
-    M'    = dF(rho) M                  (mean of the Gaussian deviation)
-    V'    = dF V + V dF' + B B'        (covariance, B = dispersion)
+    V'    = dF V + V dF' + LH diag(Q) LH'   (covariance)
 
 plus the cumulative transition counts Y (one coordinate per
 transition), counted from the start: their mean follows the fluid
@@ -56,8 +55,11 @@ def _psd(C):
     return bool(np.isfinite(np.trace(L)))
 
 
-def _check_psd(V, what="covariance"):
+def _check_psd(V, n, what):
+    """V as a float array, checked to be an (n, n) symmetric PSD matrix."""
     V = np.asarray(V, dtype=float)
+    if V.shape != (n, n):
+        raise ValueError(f"{what} must have shape ({n}, {n}), got {V.shape}")
     if not (np.allclose(V, V.T, atol=1e-12) and _psd(V)):
         raise ValueError(f"{what} must be symmetric positive semidefinite")
     return V
@@ -107,23 +109,19 @@ def _propagate(timeline, a, b, G, jac):
 class GaussianTimeline:
     """Mean/covariance solution at the points of the caller's time grid.
 
-    `rho` is the fluid trajectory, `M` the mean of the linearized
-    deviation (so the approximating mean of the density process is
-    rho + M), `V` its covariance and `substeps[k]` the RK4 steps taken
-    from grid point k to k + 1."""
+    `rho` is the fluid trajectory, which is the mean of the Gaussian
+    approximation of the density process, `V` its covariance and
+    `substeps[k]` the RK4 steps taken from grid point k to k + 1.  The
+    mean of the linearized deviation from a start M0,
+    Phi(t, 0) M0, comes from `fundamental_solution`."""
 
-    def __init__(self, system, times, rho, M, V, substeps):
+    def __init__(self, system, times, rho, V, substeps):
         self.system = system
         self.times = times
         self.rho = rho
-        self.M = M
         self.V = V
-        self.phi = None  # never stored; read only by perfbench/tracer.py
         self.substeps = substeps
-
-    @property
-    def mean(self):
-        return self.rho + self.M
+        self.M = self.phi = None  # read only by perfbench/tracer.py
 
     def index_of(self, t):
         k = int(np.searchsorted(self.times, t - 1e-9))
@@ -179,24 +177,23 @@ def solve_fluid(spec, rho0, time_grid, step=1e-3):
     return times, rho
 
 
-def solve_moments(spec, rho0, M0, V0, time_grid, step=1e-3) -> GaussianTimeline:
-    """Joint RK4 solve of (rho, M, V) at the points of `time_grid`; V is
+def solve_moments(spec, rho0, V0, time_grid, step=1e-3) -> GaussianTimeline:
+    """Joint RK4 solve of (rho, V) at the points of `time_grid`; V is
     re-symmetrized after every step to suppress round-off drift."""
     sys = spec.system()
     sys.check_domain(rho0)
+    V = _check_psd(V0, sys.n_state, "initial covariance")
     times = _grid(time_grid, step)
-    V = _check_psd(V0, "initial covariance")
-    rho, M = np.asarray(rho0, dtype=float), np.asarray(M0, dtype=float)
 
-    def deriv(r, m, v):
+    def deriv(r, v):
         Q = sys.rates(r)
-        J = sys.drift_jacobian(r)
-        JV = J @ v  # V is symmetric, so V J' = (J V)'; B B' = (LH Q) LH'
-        return (sys.LH @ Q, J @ m, JV + JV.T + (sys.LH * Q) @ sys.LH.T)
+        JV = sys.drift_jacobian(r) @ v  # V is symmetric, so V J' = (J V)'
+        return sys.LH @ Q, JV + JV.T + (sys.LH * Q) @ sys.LH.T
 
-    (rhos, Ms, Vs), substeps = _march(
-        lambda s, h: _step(sys, deriv, s, h), (rho, M, V), times, step)
-    return GaussianTimeline(sys, times, rhos, Ms, Vs, substeps)
+    (rhos, Vs), substeps = _march(
+        lambda s, h: _step(sys, deriv, s, h), (np.asarray(rho0, dtype=float), V),
+        times, step)
+    return GaussianTimeline(sys, times, rhos, Vs, substeps)
 
 
 def _forward(timeline: GaussianTimeline, s, t, start):
@@ -295,9 +292,9 @@ class CumulativeTimeline:
     density there and `substeps[k]` the RK4 steps taken from there to
     k + 1, from which `cross` propagates covariances across grid points
     on demand.  A timeline solved with `weights` holds instead
-    `var[k, c]` = w_c' cov[k] w_c for each weight row w_c, with `cov`
-    and `substeps` None, and cannot give `cross`.  `x0_mean` holds the
-    initial counts per (cell, class)."""
+    `var[k, c]` = w_c' cov[k] w_c for each weight row w_c, with `cov`,
+    `rho` and `substeps` None, and cannot give `cross`.  `x0_mean` holds
+    the initial counts per (cell, class)."""
 
     def __init__(self, system, times, x0_mean, y_mean, cov, rho, substeps,
                  var=None):
@@ -307,7 +304,7 @@ class CumulativeTimeline:
         self.y_mean = y_mean  # (n_grid, n_trans)
         self.cov = cov  # (n_grid, n_trans, n_trans), or None with `var`
         self.var = var  # (n_grid, n_weights), or None
-        self.rho = rho  # (n_grid, n)
+        self.rho = rho  # (n_grid, n), or None with `var`
         self.substeps = substeps
         self.props = []  # never stored; read only by perfbench/tracer.py
 
@@ -357,7 +354,7 @@ def solve_cumulative_moments(spec, rho0, time_grid, *, step=1e-3,
         return sys.LH @ Q, Q, dC
 
     h = _uniform_step(times)
-    covs = var = substeps = None
+    rhos = covs = var = substeps = None
     if h is not None and is_at_rest(sys, rho):
         # rho stays put, so Y' = A Y + noise is time-invariant: each grid
         # interval is the same exact step.  `substeps` records the RK4
@@ -369,8 +366,8 @@ def solve_cumulative_moments(spec, rho0, time_grid, *, step=1e-3,
         for g in range(len(times) - 1):
             ybar = ybar + Q * h
             y_means[g + 1] = ybar
-        rhos = np.full((len(times), ns), rho)
         if P is None:
+            rhos = np.full((len(times), ns), rho)
             covs = _exact_covariances(E, W, len(times))
             substeps = [_steps(h, step) for _ in range(len(times) - 1)]
         else:
@@ -381,8 +378,8 @@ def solve_cumulative_moments(spec, rho0, time_grid, *, step=1e-3,
     else:
         # one row at a time, so that a row's variance does not depend on
         # the rows beside it
-        (rhos, y_means, var), _ = _march(
+        (y_means, var), _ = _march(
             lambda s, h: _step(sys, deriv, s, h), (rho, ybar, C), times, step,
-            record=lambda s: (s[0], s[1], np.array([w @ s[2] @ w for w in P])))
+            record=lambda s: (s[1], np.array([w @ s[2] @ w for w in P])))
     return CumulativeTimeline(sys, times, sys.state_lengths * rho, y_means,
                               covs, rhos, substeps, var)

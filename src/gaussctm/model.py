@@ -143,9 +143,6 @@ class TransitionSystem:
             self._drift_memo[id(dq)] = dq, J
         return self._drift_memo[id(dq)][1]
 
-    def dispersion(self, rho):
-        return self.LH * np.sqrt(self.rates(rho))[None, :]
-
 
 # ---------------------------------------------------------------------------
 # segments

@@ -4,10 +4,11 @@ The fixed point (mu, V) of the moment equations is found by
 pseudo-transient continuation for mu (Kelley & Keyes 1998), a damped
 Newton iteration mu <- mu + (I / tau - J)^-1 F(mu) whose pseudo time
 step tau grows as the drift residual falls, followed by one Lyapunov
-solve J V + V J' + B B' = 0 (Bartels-Stewart) once J is Hurwitz at mu.
-Where the continuation stalls or lands on a point with a non-decaying
-mode, the forward-Euler iteration mu_{k+1} = mu_k + F(mu_k) dt with the
-matching update for V runs from zero instead, as in the paper.  Per-cell
+solve J V + V J' + LH diag(Q) LH' = 0 (Bartels-Stewart) once J is
+Hurwitz at mu.  Where the continuation stalls or lands on a point with a
+non-decaying mode, the forward-Euler iteration
+mu_{k+1} = mu_k + F(mu_k) dt with the matching update for V runs from
+zero instead, as in the paper.  Per-cell
 discrete marginals are obtained by integrating the stationary Gaussian
 over unit-count rectangles (continuity correction), and performance
 metrics are sums of a state function against those marginals.
@@ -98,13 +99,12 @@ def stationary_fixed_point(spec, dt=0.001, tol=1e-9,
         J = sys.drift_jacobian(mu)
         critical = _critical_cells(sys, J)
         if not critical:
-            B = sys.dispersion(mu)
-            V = solve_continuous_lyapunov(J, -B @ B.T)
+            N = (sys.LH * sys.rates(mu)) @ sys.LH.T
+            V = solve_continuous_lyapunov(J, -N)
             V = 0.5 * (V + V.T)
             return StationaryPoint(
                 sys, mu, V, float(np.abs(sys.drift(mu)).max()),
-                float(np.abs(J @ V + V @ J.T + B @ B.T).max()), iterations,
-                "ptc")
+                float(np.abs(J @ V + V @ J.T + N).max()), iterations, "ptc")
         note = (f"; the continuation point has non-decaying modes in "
                 f"cells {critical}")
     return _euler(sys, dt, tol, max_iter, note)

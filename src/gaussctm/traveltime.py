@@ -70,16 +70,12 @@ def travel_time_tail(spec, state0, i, k, j, t, grid, x0_cov=None,
         raise ValueError("grid must be nonnegative ascending")
 
     ns = sys.n_state
-    if x0_cov is not None:
-        if np.shape(x0_cov) != (ns, ns):
-            raise ValueError(f"x0_cov must have shape ({ns}, {ns})")
-        x0_cov = _check_psd(x0_cov, "initial covariance")
-
     rho_t = np.asarray(state0, dtype=float)
-    cov_t = np.zeros((ns, ns)) if x0_cov is None else x0_cov
+    cov_t = (np.zeros((ns, ns)) if x0_cov is None
+             else _check_psd(x0_cov, ns, "x0_cov"))
     if t > 0:
-        tl = solve_moments(sys, rho_t, np.zeros(ns), cov_t, [0.0, t], step)
-        rho_t, cov_t = tl.mean[-1], tl.V[-1]
+        tl = solve_moments(sys, rho_t, cov_t, [0.0, t], step)
+        rho_t, cov_t = tl.rho[-1], tl.V[-1]
 
     grid_h = grid * HOURS_PER_SECOND
     solve_grid = grid_h if grid_h[0] == 0.0 else np.concatenate([[0.0], grid_h])

@@ -103,11 +103,11 @@ def test_criterion_4_oracle_equivalence():
     em = ensemble_moments(spec, [0, 0],
                           SimConfig(horizon=0.2, seed=123,
                                     replications=5000), sample_times)
-    tl = solve_moments(spec, np.zeros(2), np.zeros(2), np.zeros((2, 2)),
+    tl = solve_moments(spec, np.zeros(2), np.zeros((2, 2)),
                        np.linspace(0.0, 0.2, 201), step=1e-3)
     for k, t in enumerate(sample_times):
         g = tl.index_of(round(t, 10))
-        z = (tl.mean[g] - em.mean[k]) / em.mean_se[k]
+        z = (tl.rho[g] - em.mean[k]) / em.mean_se[k]
         assert np.all(np.abs(z) < 3.0), f"t={t}: |z|={np.abs(z).max():.2f}"
         ratio = np.diag(tl.V[g]) / np.diag(em.cov[k])
         assert np.all((ratio > 0.85) & (ratio < 1.15)), (
@@ -122,8 +122,8 @@ def test_criterion_5_moment_engine_numerics():
     a = -(p.v_f + p.w)
     sig2 = 2.0 * p.v_f * p.w * p.rho_max / (p.v_f + p.w)
     spec = SegmentSpec.uniform(1, 1.0, DaganzoFlux(p), 1e9, 1e9)
-    tl = solve_moments(spec, np.array([rho_star]), np.zeros(1),
-                       np.zeros((1, 1)), np.linspace(0.0, 0.05, 501), step=1e-4)
+    tl = solve_moments(spec, np.array([rho_star]), np.zeros((1, 1)),
+                       np.linspace(0.0, 0.05, 501), step=1e-4)
     exact = sig2 / (2.0 * abs(a)) * (1.0 - np.exp(2.0 * a * tl.times))
     np.testing.assert_allclose(tl.V[:, 0, 0], exact, atol=1e-6)
 
@@ -134,8 +134,8 @@ def test_criterion_5_moment_engine_numerics():
 
     # symmetry and positive semidefiniteness on a nonlinear instance
     spec5 = SegmentSpec.uniform(5, 11.0 / 108.0, F34, 1400.0, 1200.0)
-    tl5 = solve_moments(spec5, np.full(5, 10.0), np.zeros(5),
-                        np.zeros((5, 5)), np.linspace(0.0, 0.5, 501), step=1e-3)
+    tl5 = solve_moments(spec5, np.full(5, 10.0), np.zeros((5, 5)),
+                        np.linspace(0.0, 0.5, 501), step=1e-3)
     for V in tl5.V[::50]:
         np.testing.assert_array_equal(V, V.T)
         assert np.linalg.eigvalsh(V).min() >= -1e-9 * max(np.trace(V), 1.0)
@@ -164,10 +164,9 @@ def test_criterion_6_network_symmetry():
     net = symmetric_network()
     sys = net.system()
     grid = np.linspace(0.0, 1000.0 / 3600.0, 279)  # 278 steps of at most 1e-3 h
-    tl = solve_moments(sys, np.zeros(34), np.zeros(34),
-                       np.zeros((34, 34)), grid, step=1e-3)
-    r2, r4 = tl.mean[:, 5:10], tl.mean[:, 15:20]
-    r3, r5 = tl.mean[:, 10:15], tl.mean[:, 20:25]
+    tl = solve_moments(sys, np.zeros(34), np.zeros((34, 34)), grid, step=1e-3)
+    r2, r4 = tl.rho[:, 5:10], tl.rho[:, 15:20]
+    r3, r5 = tl.rho[:, 10:15], tl.rho[:, 20:25]
     assert np.max(np.abs(r2 - r4)) < 1e-8
     assert np.max(np.abs(r3 - r5)) < 1e-8
 

@@ -45,8 +45,8 @@ def all_solvers(spec, rho0):
     """The three solvers from rho0 on `spec`, as functions of the grid."""
     n = len(rho0)
     return (lambda grid, **kw: solve_fluid(spec, rho0, grid, **kw),
-            lambda grid, **kw: solve_moments(spec, rho0, np.zeros(n),
-                                             np.zeros((n, n)), grid, **kw),
+            lambda grid, **kw: solve_moments(spec, rho0, np.zeros((n, n)), grid,
+                                             **kw),
             lambda grid, **kw: solve_cumulative_moments(spec, rho0, grid, **kw))
 
 
@@ -79,8 +79,8 @@ class TestSolveFluid:
 class TestSolveMoments:
     def test_covariance_symmetric_and_psd(self):
         spec = SegmentSpec.uniform(3, 1.0, F, 800.0, 1800.0)
-        tl = solve_moments(spec, np.full(3, 10.0), np.zeros(3),
-                           np.zeros((3, 3)), np.linspace(0.0, 0.5, 501))
+        tl = solve_moments(spec, np.full(3, 10.0), np.zeros((3, 3)),
+                           np.linspace(0.0, 0.5, 501))
         for V in tl.V[:: len(tl.V) // 10]:
             np.testing.assert_array_equal(V, V.T)
             w = np.linalg.eigvalsh(V)
@@ -88,40 +88,49 @@ class TestSolveMoments:
 
     def test_rejects_bad_initial_covariance(self):
         spec = SegmentSpec.uniform(2, 1.0, F, 800.0, 1800.0)
-        with pytest.raises(ValueError):
-            solve_moments(spec, np.zeros(2), np.zeros(2),
-                          np.array([[1.0, 2.0], [0.0, 1.0]]),
-                          np.linspace(0.0, 0.1, 101))
-        with pytest.raises(ValueError):
-            solve_moments(spec, np.zeros(2), np.zeros(2),
-                          -np.eye(2), np.linspace(0.0, 0.1, 101))
+        grid = np.linspace(0.0, 0.1, 101)
+        bad = ((np.array([[1.0, 2.0], [0.0, 1.0]]), "semidefinite"),
+               (-np.eye(2), "semidefinite"),
+               (np.eye(3), r"shape \(2, 2\), got \(3, 3\)"),
+               (np.zeros(2), r"shape \(2, 2\), got \(2,\)"))
+        for V0, match in bad:
+            with pytest.raises(ValueError, match=match):
+                solve_moments(spec, np.zeros(2), V0, grid)
+        # a call that still passes a mean deviation M0 before V0
+        with pytest.raises(ValueError, match=r"shape \(2, 2\), got \(2,\)"):
+            solve_moments(spec, np.zeros(2), np.zeros(2), np.zeros((2, 2)), grid)
 
     def test_ou_mean_and_variance(self):
         for grid in (OU_GRID, OU_SPARSE):
-            tl = solve_moments(ou_spec(), np.array([OU_RHO]), np.zeros(1),
-                               np.zeros((1, 1)), grid, step=1e-4)
+            tl = solve_moments(ou_spec(), np.array([OU_RHO]), np.zeros((1, 1)),
+                               grid, step=1e-4)
             t = tl.times
             np.testing.assert_array_equal(t, grid)
             exact = OU_SIG2 / (2.0 * abs(OU_A)) * (1.0 - np.exp(2.0 * OU_A * t))
             np.testing.assert_allclose(tl.V[:, 0, 0], exact, atol=1e-6)
-            np.testing.assert_allclose(tl.mean[:, 0], OU_RHO, atol=1e-9)
+            np.testing.assert_allclose(tl.rho[:, 0], OU_RHO, atol=1e-9)
 
     def test_ou_fundamental_solution(self):
-        tl = solve_moments(ou_spec(), np.array([OU_RHO]), np.zeros(1),
-                           np.zeros((1, 1)), OU_GRID, step=1e-4)
-        sparse = solve_moments(ou_spec(), np.array([OU_RHO]), np.zeros(1),
-                               np.zeros((1, 1)), OU_SPARSE, step=1e-4)
+        tl = solve_moments(ou_spec(), np.array([OU_RHO]), np.zeros((1, 1)),
+                           OU_GRID, step=1e-4)
+        sparse = solve_moments(ou_spec(), np.array([OU_RHO]), np.zeros((1, 1)),
+                               OU_SPARSE, step=1e-4)
         # every 20th grid point, the last included, and every sparse point
         for tl, times in ((tl, tl.times[::20]), (sparse, sparse.times)):
             phi = [fundamental_solution(tl, 0.0, t)[0, 0] for t in times]
             np.testing.assert_allclose(phi, np.exp(OU_A * times), rtol=1e-8)
 
     def test_mean_shift_decays_through_linearization(self):
+        # the mean of the linearized deviation from M0 is Phi(t, 0) M0,
+        # carried from grid point to grid point as M' = dF M would be
         for grid in (OU_GRID, OU_SPARSE):
-            tl = solve_moments(ou_spec(), np.array([OU_RHO]), np.array([0.5]),
-                               np.zeros((1, 1)), grid, step=1e-4)
-            np.testing.assert_allclose(tl.M[:, 0], 0.5 * np.exp(OU_A * tl.times),
-                                       rtol=1e-8)
+            tl = solve_moments(ou_spec(), np.array([OU_RHO]), np.zeros((1, 1)),
+                               grid, step=1e-4)
+            M = [np.array([0.5])]
+            for s, t in zip(tl.times, tl.times[1:]):
+                M.append(fundamental_solution(tl, s, t) @ M[-1])
+            np.testing.assert_allclose(np.array(M)[:, 0],
+                                       0.5 * np.exp(OU_A * tl.times), rtol=1e-8)
 
     def test_coarse_grid_matches_fine_grid(self):
         # each 0.01 h interval of the coarse grid takes the ten 1e-3 h RK4
@@ -129,9 +138,9 @@ class TestSolveMoments:
         spec = SegmentSpec.uniform(4, 0.5, F, 1400.0, 1200.0)
         rho0, V0 = np.full(4, 20.0), np.diag([1.0, 2.0, 3.0, 4.0])
         fine, coarse = np.linspace(0.0, 0.1, 101), np.linspace(0.0, 0.1, 11)
-        a, b = (solve_moments(spec, rho0, np.ones(4), V0, g) for g in (fine, coarse))
+        a, b = (solve_moments(spec, rho0, V0, g) for g in (fine, coarse))
         assert [len(taken) for taken in b.substeps] == [10] * 10
-        for x, y in ((a.rho, b.rho), (a.M, b.M), (a.V, b.V),
+        for x, y in ((a.rho, b.rho), (a.V, b.V),
                      (solve_fluid(spec, rho0, fine)[1],
                       solve_fluid(spec, rho0, coarse)[1])):
             np.testing.assert_allclose(x[::10], y, rtol=1e-12, atol=1e-12)
@@ -156,40 +165,41 @@ class TestSolveMoments:
             return dq.reshape(fresh.n_trans, n)
         fresh.rate_jacobian = no_memo
         grid = np.arange(0.0, 601.0, 100.0) / 3600.0
-        a, b = (solve_moments(s, np.zeros(n), np.ones(n), np.zeros((n, n)), grid)
+        a, b = (solve_moments(s, np.zeros(n), np.zeros((n, n)), grid)
                 for s in (memo, fresh))
         assert len(memo._jac_memo) > 1 and not fresh._jac_memo
         assert sum(map(len, a.substeps)) == 168  # 672 Jacobians
-        for x, y in ((a.rho, b.rho), (a.M, b.M), (a.V, b.V)):
+        phi = [fundamental_solution(tl, 0.0, tl.times[-1]) for tl in (a, b)]
+        for x, y in ((a.rho, b.rho), (a.V, b.V), phi):
             assert x.tobytes() == y.tobytes()
 
     def test_long_run_matches_fixed_point(self):
         spec = SegmentSpec.uniform(5, 11.0 / 108.0, F, 1400.0, 1200.0)
         fp = stationary_fixed_point(spec)
-        tl = solve_moments(spec, fp.mu, np.zeros(5), np.zeros((5, 5)),
+        tl = solve_moments(spec, fp.mu, np.zeros((5, 5)),
                            np.linspace(0.0, 6.0, 6001), step=1e-3)
         assert np.linalg.norm(tl.V[-1] - fp.V) < 1e-4
-        np.testing.assert_allclose(tl.mean[-1], fp.mu, atol=1e-6)
+        np.testing.assert_allclose(tl.rho[-1], fp.mu, atol=1e-6)
 
 
 class TestCrossCovariance:
     def test_equal_times_reduce_to_variance(self):
-        tl = solve_moments(ou_spec(), np.array([OU_RHO]), np.zeros(1),
-                           np.zeros((1, 1)), OU_GRID, step=1e-4)
+        tl = solve_moments(ou_spec(), np.array([OU_RHO]), np.zeros((1, 1)),
+                           OU_GRID, step=1e-4)
         t = tl.times[200]
         np.testing.assert_allclose(cross_covariance(tl, t, t), tl.V[200])
 
     def test_ou_exponential_decay(self):
-        tl = solve_moments(ou_spec(), np.array([OU_RHO]), np.zeros(1),
-                           np.zeros((1, 1)), OU_GRID, step=1e-4)
+        tl = solve_moments(ou_spec(), np.array([OU_RHO]), np.zeros((1, 1)),
+                           OU_GRID, step=1e-4)
         s, t = tl.times[100], tl.times[400]
         exact = tl.V[100, 0, 0] * np.exp(OU_A * (t - s))
         np.testing.assert_allclose(cross_covariance(tl, s, t)[0, 0], exact,
                                    atol=1e-7)
 
     def test_order_and_grid_validation(self):
-        tl = solve_moments(ou_spec(), np.array([OU_RHO]), np.zeros(1),
-                           np.zeros((1, 1)), OU_GRID, step=1e-4)
+        tl = solve_moments(ou_spec(), np.array([OU_RHO]), np.zeros((1, 1)),
+                           OU_GRID, step=1e-4)
         with pytest.raises(ValueError):
             cross_covariance(tl, tl.times[10], tl.times[5])
         with pytest.raises(ValueError):
@@ -202,8 +212,8 @@ class TestCrossCovariance:
 
 class TestFundamentalSolution:
     def test_ou_from_a_later_start(self):
-        tl = solve_moments(ou_spec(), np.array([OU_RHO]), np.zeros(1),
-                           np.zeros((1, 1)), OU_GRID, step=1e-4)
+        tl = solve_moments(ou_spec(), np.array([OU_RHO]), np.zeros((1, 1)),
+                           OU_GRID, step=1e-4)
         s = tl.times[100]
         for k in (100, 250, 500):
             t = tl.times[k]
@@ -213,8 +223,7 @@ class TestFundamentalSolution:
     def test_carries_the_covariance_across_time(self):
         # Gamma(s, t) = V(s) Phi(t, s)^T on a nonlinear instance
         spec = SegmentSpec.uniform(4, 0.5, F, 1400.0, 1200.0)
-        tl = solve_moments(spec, np.full(4, 20.0), np.zeros(4),
-                           np.diag([1.0, 2.0, 3.0, 4.0]),
+        tl = solve_moments(spec, np.full(4, 20.0), np.diag([1.0, 2.0, 3.0, 4.0]),
                            np.linspace(0.0, 0.1, 101))
         s, t = tl.times[20], tl.times[80]
         phi = fundamental_solution(tl, s, t)
@@ -366,8 +375,7 @@ class TestInvariants:
     @given(segments())
     def test_covariance_symmetric_psd_at_every_step(self, case):
         spec, rho, V0 = case
-        tl = solve_moments(spec, rho, np.zeros(len(rho)), V0,
-                           np.linspace(0.0, 0.1, 101))
+        tl = solve_moments(spec, rho, V0, np.linspace(0.0, 0.1, 101))
         for V in tl.V:
             assert_symmetric_psd(V)
 
@@ -416,8 +424,7 @@ class TestStepSplitting:
         # and a whole step would leave V = -193 (found by TestInvariants)
         spec = SegmentSpec.uniform(1, 0.1, TC, (0.0, 0.0), (233.0, 0.0))
         tl = solve_moments(spec, np.array([1.5 / TC.params.L1, 0.0]),
-                           np.zeros(2), np.zeros((2, 2)),
-                           np.linspace(0.0, 0.1, 101))
+                           np.zeros((2, 2)), np.linspace(0.0, 0.1, 101))
         split = [k for k, taken in enumerate(tl.substeps) if len(taken) > 1]
         assert split
         for V in tl.V:
@@ -434,7 +441,7 @@ class TestStepSplitting:
         sys = SegmentSpec.uniform(2, 1.0, F, 800.0, 1800.0).system()
         sys.rate_jacobian = lambda rho: np.full((sys.n_trans, sys.n_state), np.nan)
         with pytest.raises(FloatingPointError):
-            solve_moments(sys, np.full(2, 10.0), np.zeros(2), np.zeros((2, 2)),
+            solve_moments(sys, np.full(2, 10.0), np.zeros((2, 2)),
                           np.linspace(0.0, 0.01, 11))
 
 
@@ -527,7 +534,11 @@ class TestExactSteps:
             grid = np.insert(grid, 1, 0.0005)  # not uniform
         full = solve_cumulative_moments(spec, fp.mu, grid)
         proj = solve_cumulative_moments(spec, fp.mu, grid, weights=rows)
-        assert proj.cov is None and proj.var.shape == (len(grid), len(rows))
+        # only the variances are stored: no C, no fluid path, no `cross`
+        assert proj.cov is None and proj.rho is None and proj.substeps is None
+        assert proj.var.shape == (len(grid), len(rows))
+        with pytest.raises(ValueError, match="without weights"):
+            proj.cross(0, 1)
         np.testing.assert_array_equal(proj.y_mean, full.y_mean)
         want = np.array([[w @ C @ w for w in rows] for C in full.cov])
         np.testing.assert_allclose(proj.var, want, rtol=1e-12)

@@ -283,23 +283,6 @@ def _near_kink(rho, tol=1.0):
     return any(b - a < tol for a, b in zip(vals, vals[1:]))
 
 
-class TestDispersion:
-    def test_sqrt_rate_columns(self):
-        spec = seg(d=3, ell=0.5)
-        rho = np.array([10.0, 20.0, 30.0])
-        sys = spec.system()
-        B = sys.dispersion(rho)
-        q = sys.rates(rho)
-        np.testing.assert_allclose(B, sys.LH * np.sqrt(q)[None, :])
-        # BB^T equals LH diag(q) (LH)^T
-        np.testing.assert_allclose(B @ B.T,
-                                   sys.LH @ np.diag(q) @ sys.LH.T, atol=1e-9)
-
-    def test_zero_rates_zero_noise(self):
-        sys = seg(d=2, lam=0.0).system()
-        assert np.all(sys.dispersion(np.zeros(2)) == 0.0)
-
-
 def symmetric_network(lam=1800.0, nu=900.0, p12=0.5):
     f = {r: F for r in ("r1", "r2", "r3", "r4", "r5", "r6")}
     return example_network(5, 1.0, f, p12, 0.75, 0.75, 0.5, lam, nu)

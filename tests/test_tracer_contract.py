@@ -14,7 +14,7 @@ import gaussctm.cli
 from gaussctm.cli import example_network
 from gaussctm.flux import (DaganzoFlux, DaganzoParams, TwoClassFlux, TwoClassParams,
                            discrete_flux)
-from gaussctm.gaussian import solve_cumulative_moments, solve_moments
+from gaussctm.gaussian import solve_cumulative_moments
 from gaussctm.model import SegmentSpec, TransitionSystem
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -61,8 +61,9 @@ def test_one_rates_and_one_rate_jacobian_call_per_rk4_stage():
     tracer = load_tracer().Tracer()
     tracer.install(gaussctm)
     try:
-        tl = solve_moments(sys, np.zeros(n), np.zeros(n), np.zeros((n, n)),
-                           np.linspace(0.0, 0.1, 11))
+        # through the name the network study calls, which the tracer wraps
+        tl = gaussctm.cli.solve_moments(sys, np.zeros(n), np.zeros((n, n)),
+                                        np.linspace(0.0, 0.1, 11))
         sp = tracer.spans()
     finally:
         tracer.uninstall()
@@ -71,6 +72,9 @@ def test_one_rates_and_one_rate_jacobian_call_per_rk4_stage():
     assert stages == 400
     assert np.sum(called == "model:TransitionSystem.rates") == stages
     assert np.sum(called == "model:TransitionSystem.rate_jacobian") == stages
+    # the solve's observer read the timeline it returned
+    assert tracer.counters["gaussian.rk4_steps"] > 0
+    assert tracer.counters["gaussian.stored_bytes"] >= tl.rho.nbytes + tl.V.nbytes
 
 
 @pytest.mark.parametrize("t, rho0, exact", [(0.0, 10.0, True), (0.05, 15.0, False)],

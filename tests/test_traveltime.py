@@ -121,8 +121,9 @@ class TestTail:
                np.diag([1.0, -1.0, 1.0]),        # indefinite
                np.triu(np.ones((3, 3))),         # not symmetric
                np.diag([1.0, np.nan, 1.0]))      # not finite
-        for x0_cov in bad:
-            with pytest.raises(ValueError):
+        for x0_cov, match in zip(bad, ("shape \\(3, 3\\)", "semidefinite",
+                                       "semidefinite", "semidefinite")):
+            with pytest.raises(ValueError, match=match):
                 travel_time_tail(spec, np.full(3, 10.0), i=1, k=2, j=1,
                                  t=t, grid=grid, x0_cov=x0_cov)
 
