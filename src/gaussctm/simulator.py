@@ -5,12 +5,14 @@ vector of vehicle counts per (cell, class); each transition moves one
 vehicle, with exponential holding times at the current total rate and
 the next transition drawn proportionally to its rate (Gillespie's direct
 method), from exponential and uniform variates drawn in blocks.  For a
-Daganzo kernel of links only (a segment) the loop evaluates the kernel's
-expression per transition and refreshes, after an event, only the rates
-that read the changed cells (Gibson & Bruck 2000); any other kernel
-gives one whole-array `rates` call per event; with two or more classes,
-that path also gives zero rate to an arrival that would fill its cell
-past the jam occupancy.  A run records the event
+Daganzo kernel of links only (a segment) each link rate is the smaller
+of two capped candidate flows, each a function of one cell's count: the
+loop reads them from tables indexed by count, built once per run, and
+refreshes after an event only the rates that read the changed cells
+(Gibson & Bruck 2000); any other kernel gives one whole-array `rates`
+call per event; with two or more classes, that path also gives zero
+rate to an arrival that would fill its cell past the jam occupancy.
+A run records the event
 times, the fired transitions and the boundary rate sums; the counts are
 derived from these when first read.
 """
@@ -102,19 +104,24 @@ class Trajectory:
         return Y
 
 
-def _link_rates(sys):
+def _link_rates(sys, dens):
     """For a Daganzo kernel of links only, per transition k the tuples
-    (i, idx, scale, off, sgn, cap of its sending candidate, then of its
-    receiving one) of every transition i whose rate reads k's source or
-    destination cell (from the kernel's Jacobian sparsity), and last the
-    tuples of all transitions.  None for any other kernel."""
+    (i, cell, table, cell, table of i's sending and receiving candidates)
+    of every transition i whose rate reads k's source or destination cell
+    (from the kernel's Jacobian sparsity), and last the tuples of all
+    transitions.  A table holds max(0, min(scale (off + sgn rho), cap))
+    per count of its cell at rho = dens[cell][count] (all inf for a None
+    candidate), so that rate i is the smaller of its two entries.  None
+    for any other kernel."""
     kern = sys.kernel
     if not isinstance(kern, _DaganzoKernel) or kern.nd or kern.nm:
         return None
-    idx = kern.idx.reshape(-1, 2).tolist()
-    par = np.stack([kern.scale, kern.off, kern.sgn, kern.cap],
-                   axis=1).reshape(-1, 2, 4).tolist()
-    rows = [(k, i0, *a, i1, *b) for k, ((i0, i1), (a, b)) in enumerate(zip(idx, par))]
+    idx = kern.idx.tolist()
+    lin = kern.scale[:, None] * (kern.off[:, None] + kern.sgn[:, None] * dens[kern.idx])
+    lin = np.minimum(lin, kern.cap[:, None])
+    tab = np.where(lin > 0.0, lin, 0.0).tolist()
+    rows = [(k, idx[2 * k], tab[2 * k], idx[2 * k + 1], tab[2 * k + 1])
+            for k in range(sys.n_trans)]
     reads = [set() for _ in range(sys.n_state + 1)]  # reads[-1]: the boundary
     for r, c in zip(kern.rows.tolist(), kern.cols.tolist()):
         reads[c].add(r)
@@ -169,17 +176,18 @@ def simulate(spec, initial_counts, cfg: SimConfig, rng=None) -> Trajectory:
         rng = np.random.default_rng(cfg.seed)
 
     n = sys.n_trans
-    inv_len = (1.0 / sys.state_lengths).tolist()
-    x_jam = sys.x_jam.tolist()
-    # a full cell holds rho_jam where x_jam * (1 / l) rounds below it, so
-    # that its receiving rate is exactly 0
-    full = np.maximum(sys.x_jam * np.array(inv_len), sys.rho_jam).tolist()
-    counts = x0.tolist()
-    rho = [c * il if c < x else f for c, x, il, f in zip(counts, x_jam, inv_len, full)]
+    inv_len, jam = 1.0 / sys.state_lengths[:, None], sys.x_jam[:, None]
+    # density per state and count up to x_jam (held past it); a full cell
+    # holds rho_jam where x_jam * (1 / l) rounds below it, so that its
+    # receiving rate is exactly 0
+    x = np.arange(sys.x_jam.max() + 1)
+    dens = np.where(x < jam, x * inv_len, np.maximum(jam * inv_len, sys.rho_jam[:, None]))
+    after = _link_rates(sys, dens)  # after[-1]: before the first event, every rate
+    x_jam, dens, counts = sys.x_jam.tolist(), dens.tolist(), x0.tolist()
+    rho = [r[c] for r, c in zip(dens, counts)]  # the whole-array path's densities
     src, dst = sys.src.tolist(), sys.dst.tolist()  # -1 at the boundary
     arr_sum = _sum_over(np.flatnonzero(sys.src < 0).tolist())
     dep_sum = _sum_over(np.flatnonzero(sys.dst < 0).tolist())
-    after = _link_rates(sys)  # after[-1]: before the first event, every rate
     bound = _occupancy_bound(sys)
     q = [0.0] * n
 
@@ -188,10 +196,13 @@ def simulate(spec, initial_counts, cfg: SimConfig, rng=None) -> Trajectory:
     block = _FIRST_BLOCK // 2
     exps = unis = ()
     j = block
-    k = -1
+    k = s = d = -1
     absorbed = False
     while True:
         if after is None:
+            # the last event's two cells (the boundary, -1, rewrites the last
+            # state's density unchanged)
+            rho[s], rho[d] = dens[s][counts[s]], dens[d][counts[d]]
             r = np.array(rho)
             q = sys.rates(r)
             if bound is not None:
@@ -199,14 +210,9 @@ def simulate(spec, initial_counts, cfg: SimConfig, rng=None) -> Trajectory:
                 q[G @ r > thr] = 0.0
             q = q.tolist()
         else:
-            for i, i0, a0, o0, s0, c0, i1, a1, o1, s1, c1 in after[k]:
-                # max(0, min(min(f0, c0), min(f1, c1))) without calls
-                f0 = a0 * (o0 + s0 * rho[i0])
-                f1 = a1 * (o1 + s1 * rho[i1])
-                v = f0 if f0 < c0 else c0
-                v = v if v < f1 else f1
-                v = v if v < c1 else c1
-                q[i] = v if v > 0.0 else 0.0
+            for i, i0, A, i1, B in after[k]:
+                a, b = A[counts[i0]], B[counts[i1]]
+                q[i] = a if a < b else b
         cum = list(accumulate(q, initial=0.0))  # exact running sums
         total = cum[-1]
         arr_rate.append(arr_sum(q))
@@ -235,12 +241,10 @@ def simulate(spec, initial_counts, cfg: SimConfig, rng=None) -> Trajectory:
             counts[s] -= 1
             if counts[s] < 0:
                 raise SimulationError(f"{sys.labels[k]}: state {s} below 0")
-            rho[s] = counts[s] * inv_len[s]
         if d >= 0:
-            c = counts[d] = counts[d] + 1
-            if c > x_jam[d]:
+            counts[d] += 1
+            if counts[d] > x_jam[d]:
                 raise SimulationError(f"{sys.labels[k]}: state {d} above jam")
-            rho[d] = c * inv_len[d] if c < x_jam[d] else full[d]
 
     return Trajectory(sys, x0, times, trans, arr_rate, dep_rate, horizon,
                       absorbed)

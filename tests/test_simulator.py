@@ -127,6 +127,26 @@ class TestSimulate:
             if k < traj.n_events:
                 assert q[traj.trans[k]] > 0.0
 
+    @pytest.mark.parametrize("d,ell,lam,nu,fill", [
+        (5, 11 / 108, 1400.0, 1200.0, 0.0),
+        (3, 12.5 / 108, 1800.0, 600.0, 0.5),  # rho_max l = 12.5
+        (2, 0.1875, 1800.0, 300.0, 0.5),  # rho_max l = 20.25
+        (5, 11 / 108, 1800.0, 600.0, 0.95),  # 10 of 11 vehicles per cell
+    ])
+    def test_segment_path_equals_whole_array_path(self, d, ell, lam, nu, fill):
+        # a kernel that only has `rates` forces one whole-array call per
+        # event; the segment loop's count-indexed tables give the same
+        # rates, so the same events, bit for bit
+        sys = seg(d=d, ell=ell, lam=lam, nu=nu).system()
+        x0 = np.floor(fill * sys.x_jam).astype(int)
+        cfg = SimConfig(horizon=0.2, seed=11)
+        table = simulate(sys, x0, cfg)
+        sys.kernel = SimpleNamespace(rates=sys.kernel.rates)
+        array = simulate(sys, x0, cfg)
+        assert table.n_events > 100
+        for name in ("times", "trans", "arrival_rate", "departure_rate"):
+            assert np.array_equal(getattr(table, name), getattr(array, name)), name
+
     def test_full_cell_receives_nothing(self):
         # on 77 of these lengths, k = 15 the first, x_jam * (1 / l) rounds
         # just below rho_max, where the receiving rate is 2.3e-13 veh/h
