@@ -10,8 +10,8 @@ from .flux import (DaganzoFlux, DaganzoParams, TwoClassFlux, TwoClassParams,
 from .model import (Diverge, Merge, NetworkConfigError, NetworkSpec, RoadSpec,
                     SegmentSpec, TransitionSystem, build_network_system,
                     build_segment_system)
-from .simulator import (SimConfig, SimulationError, Trajectory,
-                        ensemble_moments, estimate_throughput, simulate)
+from .simulator import (SimulationError, Trajectory, ensemble_moments,
+                        estimate_throughput, simulate)
 from .gaussian import (CumulativeTimeline, GaussianTimeline, cross_covariance,
                        fundamental_solution, solve_cumulative_moments,
                        solve_fluid, solve_moments)

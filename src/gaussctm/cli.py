@@ -21,7 +21,7 @@ from .flux import DaganzoFlux, DaganzoParams, TwoClassFlux, TwoClassParams
 from .gaussian import solve_moments
 from .model import Diverge, Merge, NetworkSpec, RoadSpec, SegmentSpec
 from .routechoice import RouteSummary, select_route
-from .simulator import SimConfig, estimate_throughput, simulate
+from .simulator import estimate_throughput, simulate
 from .stationary import (cell_marginal, deterministic_metric,
                          stationary_fixed_point, stationary_metric)
 from .traveltime import default_grid, travel_time_moments, travel_time_tail
@@ -103,8 +103,7 @@ def run_throughput_sweep(cfg, out, seed, dry_run=False):
             est = []
             for child in ss.spawn(reps):
                 traj = simulate(system, np.zeros(d, dtype=int),
-                                SimConfig(horizon=warmup + horizon),
-                                rng=np.random.default_rng(child))
+                                warmup + horizon, child)
                 est.append(estimate_throughput(traj, warmup, warmup + horizon))
             rows.append((ell, lam, stoch, det, float(np.mean(est))))
     _write_csv(out, ("cell_length_km", "lambda_veh_per_h",
@@ -354,8 +353,7 @@ def run_validation(cfg, out, seed, dry_run=False):
         series = synthetic_series(
             [s.strip() for s in inp["sites"].split(",")],
             int(inp["synthetic_days"]), _num(inp["mean_veh_per_h"]),
-            _num(inp["std_veh_per_h"]),
-            seed if seed is not None else int(inp["synthetic_seed"]))
+            _num(inp["std_veh_per_h"]), seed)
     rows = []
     sites = sorted(series)
     for tau in taus:

@@ -77,9 +77,10 @@ class TransitionSystem:
                               np.ceil(jam)).astype(int)
         self.cell_labels = cell_labels
         self.kernel = kernel
-        # rate_jacobian by branch regime (kernels that have one), J by dq
+        # (rate Jacobian dq, drift Jacobian LH dq) by branch regime (kernels
+        # that have one), and the pair rate_jacobian read last
         self._jac_memo = {} if hasattr(kernel, "regime") else None
-        self._drift_memo = {}
+        self._last_pair = None, None
 
         self.n_trans = len(src)
         self.src = np.array([-1 if s is None else s for s in src], dtype=int)
@@ -117,11 +118,14 @@ class TransitionSystem:
         if self._jac_memo is None:
             return self._jacobian(rho)
         key = self.kernel.regime(rho)
-        dq = self._jac_memo.get(key)
-        if dq is None:
-            dq = self._jac_memo[key] = self._jacobian(rho)
-            dq.flags.writeable = False
-        return dq
+        pair = self._jac_memo.get(key)
+        if pair is None:
+            dq = self._jacobian(rho)
+            J = self.LH @ dq
+            dq.flags.writeable = J.flags.writeable = False
+            pair = self._jac_memo[key] = dq, J
+        self._last_pair = pair
+        return pair[0]
 
     def _jacobian(self, rho):
         dq = np.bincount(self._jac_index, weights=self.kernel.jacobian(rho),
@@ -132,16 +136,11 @@ class TransitionSystem:
         return self.LH @ self.rates(rho)
 
     def drift_jacobian(self, rho):
-        """LH @ rate_jacobian(rho); beside a read-only (memoized) rate
-        Jacobian it is memoized too, and read-only."""
+        """LH @ rate_jacobian(rho): the memo's read-only J beside a memoized
+        rate Jacobian, a fresh array otherwise."""
         dq = self.rate_jacobian(rho)
-        if dq.flags.writeable:
-            return self.LH @ dq
-        if id(dq) not in self._drift_memo:  # holding dq keeps its id its own
-            J = self.LH @ dq
-            J.flags.writeable = False
-            self._drift_memo[id(dq)] = dq, J
-        return self._drift_memo[id(dq)][1]
+        memo_dq, J = self._last_pair
+        return J if dq is memo_dq else self.LH @ dq
 
 
 # ---------------------------------------------------------------------------

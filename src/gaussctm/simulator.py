@@ -29,25 +29,12 @@ import numpy as np
 
 from .flux import _DaganzoKernel, check_occupancy
 
-__all__ = ["SimConfig", "Trajectory", "SimulationError", "simulate",
+__all__ = ["Trajectory", "SimulationError", "simulate",
            "estimate_throughput", "ensemble_moments", "EnsembleMoments"]
 
 # variates per generator call, doubling from the first to the last so
 # that short runs do not draw thousands they never use
 _FIRST_BLOCK, _BLOCK = 256, 4096
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    horizon: float  # h
-    seed: int = 0
-    replications: int = 1
-
-    def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if self.replications < 1:
-            raise ValueError("need at least one replication")
 
 
 class SimulationError(RuntimeError):
@@ -157,13 +144,17 @@ def _sum_over(idx):
     return lambda q: sum([q[i] for i in idx], 0.0)
 
 
-def simulate(spec, initial_counts, cfg: SimConfig, rng=None) -> Trajectory:
-    """Run one exact realization over [0, cfg.horizon].
+def simulate(spec, initial_counts, horizon, seed=0) -> Trajectory:
+    """Run one exact realization over [0, horizon] (h).
 
-    `initial_counts` are integer vehicle counts per (cell, class).  If a
-    generator is supplied it is used as-is; otherwise one is seeded from
-    cfg.seed.  Zero total rate absorbs the chain (recorded, not an error).
+    `initial_counts` are integer vehicle counts per (cell, class), within
+    the jam count of each single-class cell and the jam occupancy of each
+    multi-class cell.  The variates come from `np.random.default_rng(seed)`:
+    `seed` is an int, a `SeedSequence` or a `Generator`, which is used as
+    is.  Zero total rate absorbs the chain (recorded, not an error).
     """
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
     sys = spec.system()
     x0 = np.asarray(initial_counts)
     if x0.shape != (sys.n_state,):
@@ -171,9 +162,11 @@ def simulate(spec, initial_counts, cfg: SimConfig, rng=None) -> Trajectory:
     if not np.all(x0 == np.rint(x0)):
         raise ValueError("initial counts must be integers")
     x0 = x0.astype(np.int64)
-    check_occupancy(x0, sys.x_jam, sys.m, "initial counts")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    # a two-class start is bounded by occupancy, as `_occupancy_bound` bounds
+    # the chain, not by the rounded-up x_jam of each class alone
+    check_occupancy(x0, sys.x_jam if sys.m == 1 else sys.rho_jam * sys.state_lengths,
+                    sys.m, "initial counts")
+    rng = np.random.default_rng(seed)
 
     n = sys.n_trans
     inv_len, jam = 1.0 / sys.state_lengths[:, None], sys.x_jam[:, None]
@@ -192,7 +185,7 @@ def simulate(spec, initial_counts, cfg: SimConfig, rng=None) -> Trajectory:
     q = [0.0] * n
 
     times, trans, arr_rate, dep_rate = [0.0], [], [], []
-    t, horizon = 0.0, cfg.horizon
+    t = 0.0
     block = _FIRST_BLOCK // 2
     exps = unis = ()
     j = block
@@ -272,21 +265,20 @@ class EnsembleMoments:
     replications: int
 
 
-def ensemble_moments(spec, initial_counts, cfg: SimConfig,
-                     sample_times) -> EnsembleMoments:
+def ensemble_moments(spec, initial_counts, horizon, sample_times,
+                     replications, seed=0) -> EnsembleMoments:
     """Empirical mean/covariance of the density vector at each sample
-    time across independent replications (seed streams spawned from
-    cfg.seed by replication index)."""
-    if cfg.replications < 2:
+    time across `replications` independent runs over [0, horizon]; run r
+    draws from stream r of `SeedSequence(seed).spawn(replications)`."""
+    if replications < 2:
         raise ValueError("covariance estimation needs at least 2 replications")
     sys = spec.system()
     sample_times = np.asarray(sample_times, dtype=float)
-    if np.any(sample_times < 0) or np.any(sample_times > cfg.horizon):
+    if np.any(sample_times < 0) or np.any(sample_times > horizon):
         raise ValueError("sample times must lie within the horizon")
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
-    samples = np.empty((cfg.replications, len(sample_times), sys.n_state))
-    for r in range(cfg.replications):
-        traj = simulate(sys, initial_counts, cfg, rng=np.random.default_rng(streams[r]))
+    samples = np.empty((replications, len(sample_times), sys.n_state))
+    for r, stream in enumerate(np.random.SeedSequence(seed).spawn(replications)):
+        traj = simulate(sys, initial_counts, horizon, stream)
         idx = np.searchsorted(traj.times, sample_times, side="right") - 1
         samples[r] = traj.counts[idx] / sys.state_lengths
     mean = samples.mean(axis=0)
@@ -296,4 +288,4 @@ def ensemble_moments(spec, initial_counts, cfg: SimConfig,
         cov[k] = np.cov(samples[:, k, :], rowvar=False, ddof=1).reshape(
             sys.n_state, sys.n_state)
     return EnsembleMoments(sample_times, mean, cov,
-                           sd / np.sqrt(cfg.replications), cfg.replications)
+                           sd / np.sqrt(replications), replications)

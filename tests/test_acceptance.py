@@ -17,8 +17,7 @@ from gaussctm.cli import main, route_travel_time, control_travel_time
 from gaussctm.flux import DaganzoFlux, DaganzoParams, TwoClassParams
 from gaussctm.gaussian import cross_covariance, solve_fluid, solve_moments
 from gaussctm.model import SegmentSpec
-from gaussctm.simulator import (SimConfig, ensemble_moments,
-                                estimate_throughput, simulate)
+from gaussctm.simulator import ensemble_moments, estimate_throughput, simulate
 from gaussctm.stationary import (cell_marginal, deterministic_metric,
                                  stationary_fixed_point, stationary_metric)
 from gaussctm.validation import chi2_normality, cumulative_pvalue_curve
@@ -67,9 +66,7 @@ def test_criterion_2_throughput_estimators():
         det = deterministic_metric(q0, marg)
         est = []
         for child in next(streams).spawn(20):
-            traj = simulate(spec, np.zeros(d, dtype=int),
-                            SimConfig(horizon=12.0),
-                            rng=np.random.default_rng(child))
+            traj = simulate(spec, np.zeros(d, dtype=int), 12.0, child)
             est.append(estimate_throughput(traj, 2.0, 12.0))
         sim = float(np.mean(est))
         gauss_err.append(abs(stoch - sim))
@@ -100,9 +97,7 @@ def test_criterion_4_oracle_equivalence():
     t0 = time.perf_counter()
     spec = SegmentSpec.uniform(2, 1.0, F34, 800.0, 1800.0)
     sample_times = np.linspace(0.04, 0.2, 5)
-    em = ensemble_moments(spec, [0, 0],
-                          SimConfig(horizon=0.2, seed=123,
-                                    replications=5000), sample_times)
+    em = ensemble_moments(spec, [0, 0], 0.2, sample_times, 5000, 123)
     tl = solve_moments(spec, np.zeros(2), np.zeros((2, 2)),
                        np.linspace(0.0, 0.2, 201), step=1e-3)
     for k, t in enumerate(sample_times):

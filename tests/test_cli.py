@@ -119,7 +119,6 @@ VALIDATE_INI = """\
 csv_path =
 sites = site1, site2
 synthetic_days = 25
-synthetic_seed = 0
 mean_veh_per_h = 1500
 std_veh_per_h = 120
 

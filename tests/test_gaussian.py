@@ -14,7 +14,7 @@ from gaussctm.gaussian import (
     solve_moments,
 )
 from gaussctm.model import SegmentSpec
-from gaussctm.simulator import SimConfig, simulate
+from gaussctm.simulator import simulate
 from gaussctm.stationary import stationary_fixed_point
 from gaussctm.traveltime import _weights
 
@@ -404,8 +404,7 @@ class TestDomain:
             with pytest.raises(ValueError, match="jam occupancy"):
                 solve([0.0, 0.01])
         with pytest.raises(ValueError, match="jam occupancy"):
-            simulate(sys, np.rint(0.9 * sys.x_jam).astype(int),
-                     SimConfig(horizon=0.01))
+            simulate(sys, np.rint(0.9 * sys.x_jam).astype(int), 0.01)
 
     def test_a_full_two_class_cell_is_in_the_domain(self):
         # half of each class's jam density: occupancy N exactly
@@ -413,7 +412,7 @@ class TestDomain:
         sys = spec.system()
         for solve in all_solvers(spec, 0.5 * sys.rho_jam):
             solve([0.0, 0.01])
-        simulate(sys, sys.x_jam // 2, SimConfig(horizon=0.01))
+        simulate(sys, sys.x_jam // 2, 0.01)
 
 
 class TestStepSplitting:

@@ -8,7 +8,6 @@ from gaussctm.cli import example_network
 from gaussctm.flux import DaganzoFlux, DaganzoParams, TwoClassFlux, TwoClassParams
 from gaussctm.model import SegmentSpec
 from gaussctm.simulator import (
-    SimConfig,
     SimulationError,
     ensemble_moments,
     estimate_throughput,
@@ -24,18 +23,27 @@ def seg(d=1, ell=1.0, lam=800.0, nu=1800.0):
     return SegmentSpec.uniform(d, ell, F, lam, nu)
 
 
-class TestSimConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SimConfig(horizon=0.0)
-        with pytest.raises(ValueError):
-            SimConfig(horizon=1.0, replications=0)
-
-
 class TestSimulate:
+    def test_horizon_must_be_positive(self):
+        for horizon in (0.0, -1.0):
+            with pytest.raises(ValueError, match="horizon"):
+                simulate(seg(), [10], horizon)
+
+    def test_seed_forms_give_one_stream(self):
+        # an int, the SeedSequence of that int and a generator made from
+        # that SeedSequence give the same variates
+        spec = seg(d=3)
+        ss = np.random.SeedSequence(42)
+        runs = [simulate(spec, [10, 10, 10], 0.2, seed)
+                for seed in (42, ss, np.random.default_rng(ss))]
+        assert runs[0].n_events > 100
+        for traj in runs[1:]:
+            assert np.array_equal(traj.times, runs[0].times)
+            assert np.array_equal(traj.trans, runs[0].trans)
+
     def test_closed_empty_system_absorbs(self):
         spec = seg(lam=0.0, nu=0.0)
-        traj = simulate(spec, [0], SimConfig(horizon=1.0))
+        traj = simulate(spec, [0], 1.0)
         assert traj.absorbed
         assert traj.n_events == 0
         assert np.all(traj.counts == 0)
@@ -43,24 +51,23 @@ class TestSimulate:
     def test_initial_count_validation(self):
         spec = seg()
         with pytest.raises(ValueError):
-            simulate(spec, [0, 0], SimConfig(horizon=1.0))
+            simulate(spec, [0, 0], 1.0)
         with pytest.raises(ValueError):
-            simulate(spec, [2.5], SimConfig(horizon=1.0))
+            simulate(spec, [2.5], 1.0)
         with pytest.raises(ValueError):
-            simulate(spec, [500], SimConfig(horizon=1.0))
+            simulate(spec, [500], 1.0)
 
     def test_reproducible_with_same_seed(self):
         spec = seg(d=3)
-        cfg = SimConfig(horizon=0.2, seed=42)
-        t1 = simulate(spec, [10, 10, 10], cfg)
-        t2 = simulate(spec, [10, 10, 10], cfg)
+        t1 = simulate(spec, [10, 10, 10], 0.2, 42)
+        t2 = simulate(spec, [10, 10, 10], 0.2, 42)
         np.testing.assert_array_equal(t1.times, t2.times)
         np.testing.assert_array_equal(t1.counts, t2.counts)
         np.testing.assert_array_equal(t1.trans, t2.trans)
 
     def test_counts_follow_transitions(self):
         spec = seg(d=3)
-        traj = simulate(spec, [10, 10, 10], SimConfig(horizon=0.1, seed=1))
+        traj = simulate(spec, [10, 10, 10], 0.1, 1)
         sys = traj.system
         for k, tr in enumerate(traj.trans):
             step = traj.counts[k + 1] - traj.counts[k]
@@ -70,11 +77,10 @@ class TestSimulate:
         # in equilibrium at rho=10 every boundary flows at 800 veh/h, so
         # the mean number of events per hour is 2 * 800
         spec = seg(d=1, lam=800.0, nu=1800.0)
-        cfg = SimConfig(horizon=1.0, seed=0)
         rng_events = []
         streams = np.random.SeedSequence(0).spawn(200)
         for s in streams:
-            traj = simulate(spec, [10], cfg, rng=np.random.default_rng(s))
+            traj = simulate(spec, [10], 1.0, s)
             rng_events.append(traj.n_events)
         mean = np.mean(rng_events)
         se = np.std(rng_events, ddof=1) / np.sqrt(len(rng_events))
@@ -82,7 +88,7 @@ class TestSimulate:
 
     def test_state_at_and_density_at(self):
         spec = seg(d=2, ell=0.5)
-        traj = simulate(spec, [5, 5], SimConfig(horizon=0.1, seed=3))
+        traj = simulate(spec, [5, 5], 0.1, 3)
         np.testing.assert_array_equal(traj.state_at(0.0), [5, 5])
         np.testing.assert_allclose(traj.density_at(0.0), [10.0, 10.0])
         with pytest.raises(ValueError):
@@ -90,7 +96,7 @@ class TestSimulate:
 
     def test_cumulative_counts_sum_to_events(self):
         spec = seg(d=3)
-        traj = simulate(spec, [10, 10, 10], SimConfig(horizon=0.1, seed=5))
+        traj = simulate(spec, [10, 10, 10], 0.1, 5)
         Y = traj.cumulative_counts()
         assert Y[-1].sum() == traj.n_events
         assert np.all(np.diff(Y, axis=0) >= 0)
@@ -100,7 +106,7 @@ class TestSimulate:
         # count reaches x_jam = 21 and stops there (an x_jam of 20 made
         # that arrival raise SimulationError)
         sys = seg(d=1, ell=0.1875, lam=12.0, nu=2.0).system()
-        traj = simulate(sys, [20], SimConfig(horizon=2.0, seed=0))
+        traj = simulate(sys, [20], 2.0, 0)
         assert traj.counts.max() == sys.x_jam[0] == 21
 
     @settings(max_examples=60, deadline=None)
@@ -115,7 +121,7 @@ class TestSimulate:
         # hold a whole or a fractional rho_max l vehicles at jam density
         sys = seg(d=d, ell=ell, lam=lam, nu=nu).system()
         x0 = np.rint(np.array(fill[:d]) * sys.x_jam).astype(int)
-        traj = simulate(sys, x0, SimConfig(horizon=0.05, seed=seed))
+        traj = simulate(sys, x0, 0.05, seed)
         assert np.all(traj.counts >= 0) and np.all(traj.counts <= sys.x_jam)
         np.testing.assert_array_equal(traj.counts[0], x0)
         inv = 1 / sys.state_lengths  # a full cell holds at least rho_jam
@@ -139,10 +145,9 @@ class TestSimulate:
         # rates, so the same events, bit for bit
         sys = seg(d=d, ell=ell, lam=lam, nu=nu).system()
         x0 = np.floor(fill * sys.x_jam).astype(int)
-        cfg = SimConfig(horizon=0.2, seed=11)
-        table = simulate(sys, x0, cfg)
+        table = simulate(sys, x0, 0.2, 11)
         sys.kernel = SimpleNamespace(rates=sys.kernel.rates)
-        array = simulate(sys, x0, cfg)
+        array = simulate(sys, x0, 0.2, 11)
         assert table.n_events > 100
         for name in ("times", "trans", "arrival_rate", "departure_rate"):
             assert np.array_equal(getattr(table, name), getattr(array, name)), name
@@ -152,7 +157,7 @@ class TestSimulate:
         # just below rho_max, where the receiving rate is 2.3e-13 veh/h
         for k in range(1, 400):
             sys = seg(d=1, ell=k / 108.0, lam=1800.0, nu=0.0).system()
-            traj = simulate(sys, sys.x_jam, SimConfig(horizon=1.0))
+            traj = simulate(sys, sys.x_jam, 1.0)
             assert traj.arrival_rate[0] == 0.0, k
             assert traj.absorbed is True, k
 
@@ -165,7 +170,7 @@ class TestSimulate:
         sys.kernel = SimpleNamespace(rates=lambda rho: np.array(rates))
         with pytest.raises(SimulationError,
                            match="below 0" if start == 0 else "above jam"):
-            simulate(sys, [start], SimConfig(horizon=1.0, seed=0))
+            simulate(sys, [start], 1.0, 0)
 
     def test_array_rates_once_per_event(self):
         f = {r: F for r in ("r1", "r2", "r3", "r4", "r5", "r6")}
@@ -173,8 +178,7 @@ class TestSimulate:
         calls = []
         rates = sys.rates
         sys.rates = lambda rho: (calls.append(1), rates(rho))[1]
-        traj = simulate(sys, np.zeros(sys.n_state, dtype=int),
-                        SimConfig(horizon=0.2, seed=3))
+        traj = simulate(sys, np.zeros(sys.n_state, dtype=int), 0.2, 3)
         assert traj.n_events > 100
         assert len(calls) == traj.n_events + 1
 
@@ -212,7 +216,7 @@ class TestDomain:
     @given(systems_and_counts(), st.floats(0.01, 0.1), st.integers(0, 2**32 - 1))
     def test_every_reached_state_is_in_the_domain(self, case, horizon, seed):
         sys, x0 = case
-        traj = simulate(sys, x0, SimConfig(horizon=horizon, seed=seed))
+        traj = simulate(sys, x0, horizon, seed)
         for counts in traj.counts:
             rho = counts / sys.state_lengths
             if sys.m == 1:
@@ -224,7 +228,20 @@ class TestDomain:
         fill = ((traj.counts / (sys.rho_jam * sys.state_lengths))
                 .reshape(len(traj.counts), -1, sys.m).sum(axis=2).max(axis=1))
         for counts in (traj.counts[np.argmax(fill)], traj.counts[-1]):
-            simulate(sys, counts, SimConfig(horizon=0.01, seed=seed))
+            simulate(sys, counts, 0.01, seed)
+
+    @pytest.mark.parametrize("start,ok", [([230, 0], True), ([231, 0], False),
+                                          ([0, 90], True), ([0, 91], False)])
+    def test_two_class_start_is_bounded_by_occupancy(self, start, ok):
+        # on 0.5 km, N / L_j l = 230.8 cars or 90.9 trucks: each class's
+        # x_jam rounds up to 231 or 91, occupancy 3.003 or 3.003 > N = 3
+        sys = SegmentSpec.uniform(1, 0.5, TC, (3000.0, 1000.0), (0.0, 0.0)).system()
+        assert sys.x_jam.tolist() == [231, 91]
+        if ok:
+            simulate(sys, start, 0.01)
+        else:
+            with pytest.raises(ValueError, match="jam occupancy"):
+                simulate(sys, start, 0.01)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_two_class_cell_fills_to_its_lane_count_and_stops(self, seed):
@@ -232,31 +249,30 @@ class TestDomain:
         # occupancy N = 3, so the chain absorbs only once one more car
         # would pass N: within a car's occupancy L1 / l of N, not above it
         sys = SegmentSpec.uniform(1, 0.5, TC, (3000.0, 1000.0), (0.0, 0.0)).system()
-        traj = simulate(sys, [0, 0], SimConfig(horizon=2.0, seed=seed))
+        traj = simulate(sys, [0, 0], 2.0, seed)
         occupancy = traj.counts[-1] @ TC.lengths / 0.5
         assert traj.absorbed
         assert 3.0 - TC.params.L1 / 0.5 < occupancy <= 3.0 + 1e-9
-        simulate(sys, traj.counts[-1], SimConfig(horizon=0.1, seed=seed))
+        simulate(sys, traj.counts[-1], 0.1, seed)
 
 
 class TestThroughput:
     def test_zero_arrivals(self):
         spec = seg(lam=0.0)
-        traj = simulate(spec, [10], SimConfig(horizon=1.0, seed=0))
+        traj = simulate(spec, [10], 1.0, 0)
         assert estimate_throughput(traj, 0.0, 1.0) == 0.0
 
     def test_light_traffic_matches_lambda(self):
         spec = seg(d=2, lam=500.0, nu=1800.0)
         vals = []
         for s in np.random.SeedSequence(1).spawn(20):
-            traj = simulate(spec, [6, 6], SimConfig(horizon=4.0),
-                            rng=np.random.default_rng(s))
+            traj = simulate(spec, [6, 6], 4.0, s)
             vals.append(estimate_throughput(traj, 1.0, 4.0))
         assert abs(np.mean(vals) - 500.0) < 0.05 * 500.0
 
     def test_window_validation(self):
         spec = seg()
-        traj = simulate(spec, [10], SimConfig(horizon=1.0, seed=0))
+        traj = simulate(spec, [10], 1.0, 0)
         with pytest.raises(ValueError):
             estimate_throughput(traj, 0.5, 0.5)
         with pytest.raises(ValueError):
@@ -266,19 +282,18 @@ class TestThroughput:
 class TestEnsemble:
     def test_needs_two_replications(self):
         spec = seg()
-        with pytest.raises(ValueError):
-            ensemble_moments(spec, [10], SimConfig(horizon=1.0), [0.5])
+        for replications in (0, 1):
+            with pytest.raises(ValueError, match="2 replications"):
+                ensemble_moments(spec, [10], 1.0, [0.5], replications)
 
     def test_sample_times_inside_horizon(self):
         spec = seg()
         with pytest.raises(ValueError):
-            ensemble_moments(spec, [10], SimConfig(horizon=1.0, replications=4),
-                             [1.5])
+            ensemble_moments(spec, [10], 1.0, [1.5], 4)
 
     def test_free_flow_mean_density(self):
         spec = seg(d=5, lam=800.0)
-        cfg = SimConfig(horizon=1.0, seed=7, replications=60)
-        em = ensemble_moments(spec, [10] * 5, cfg, [0.5, 1.0])
+        em = ensemble_moments(spec, [10] * 5, 1.0, [0.5, 1.0], 60, 7)
         # stationary mean density is lambda / v_f = 10 in every cell
         for k in range(2):
             z = (em.mean[k] - 10.0) / em.mean_se[k]
@@ -295,9 +310,7 @@ class TestNetworkSimulation:
         k4 = sys.labels.index("r1->r4")
         n2 = n4 = 0
         for s in np.random.SeedSequence(17).spawn(10):
-            traj = simulate(sys, np.zeros(sys.n_state, dtype=int),
-                            SimConfig(horizon=1.0),
-                            rng=np.random.default_rng(s))
+            traj = simulate(sys, np.zeros(sys.n_state, dtype=int), 1.0, s)
             n2 += int(np.sum(traj.trans == k2))
             n4 += int(np.sum(traj.trans == k4))
         total = n2 + n4

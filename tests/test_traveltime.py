@@ -6,7 +6,7 @@ from gaussctm.cli import route_travel_time
 from gaussctm.flux import DaganzoFlux, DaganzoParams, TwoClassFlux, TwoClassParams
 from gaussctm.gaussian import solve_cumulative_moments
 from gaussctm.model import SegmentSpec
-from gaussctm.simulator import SimConfig, simulate
+from gaussctm.simulator import simulate
 from gaussctm.traveltime import (
     GridCoverageError,
     TailCurve,
@@ -199,10 +199,8 @@ class TestAgainstSimulation:
         n_ahead = 60
         dep = sys.n_trans - 1
         passages = []
-        cfg = SimConfig(horizon=0.25)
         for s in np.random.SeedSequence(2024).spawn(3000):
-            traj = simulate(sys, [20, 20, 20], cfg,
-                            rng=np.random.default_rng(s))
+            traj = simulate(sys, [20, 20, 20], 0.25, s)
             k = np.flatnonzero(traj.trans == dep)
             assert len(k) >= n_ahead
             passages.append(traj.times[k[n_ahead - 1] + 1] * 3600.0)
