@@ -4,9 +4,7 @@ ODEs, stationary performance metrics, travel-time distributions,
 route-choice utilities, merge/diverge networks, and a chi-squared
 normality-validation pipeline for flow data."""
 
-from .flux import (DaganzoFlux, DaganzoParams, TwoClassFlux, TwoClassParams,
-                   daganzo_receiving, daganzo_sending, discrete_flux,
-                   flux_jacobian, two_class_flux)
+from .flux import DaganzoFlux, DaganzoParams, TwoClassFlux, TwoClassParams
 from .model import (Diverge, Merge, NetworkConfigError, NetworkSpec, RoadSpec,
                     SegmentSpec, TransitionSystem, build_network_system,
                     build_segment_system)

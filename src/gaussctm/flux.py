@@ -4,8 +4,8 @@
 `kernel(d, lam, nu)` compiles a d-cell segment into the one implementation
 of the diagram: the flow min(sending, receiving) at every boundary and its
 slopes, a linear branch contributing its slope only when it is *strictly*
-active (at a tie the derivative is 0).  The per-boundary methods and the
-public functions read one boundary of a one- or two-cell kernel.
+active (at a tie the derivative is 0).  The per-boundary methods read
+one boundary of a one- or two-cell kernel.
 """
 
 from __future__ import annotations
@@ -20,11 +20,6 @@ __all__ = [
     "FluxFunction",
     "DaganzoFlux",
     "TwoClassFlux",
-    "daganzo_sending",
-    "daganzo_receiving",
-    "discrete_flux",
-    "two_class_flux",
-    "flux_jacobian",
 ]
 
 
@@ -88,10 +83,6 @@ class FluxFunction:
     kernel that its subclass compiles.  Densities and flows are per-class
     vectors (veh/km, veh/h), gradients m x m: (j, k) = d flow_j / d rho_k."""
 
-    def check_domain(self, rho):
-        """The densities of one cell lie within the diagram's domain."""
-        check_occupancy(rho, self.rho_jam, self.m)
-
     def _boundary(self, b, cells, lam=0.0, nu=0.0):
         """Boundary b of the kernel of len(cells) cells: its flows, then
         their gradients by each cell.  Bounds meet boundary b only if it
@@ -145,10 +136,6 @@ class DaganzoFlux(FluxFunction):
     def rho_jam(self) -> np.ndarray:
         return np.array([self.params.rho_max])
 
-    @property
-    def q_max(self) -> np.ndarray:
-        return np.array([self.params.q_max])
-
     def kernel(self, d, lam, nu):
         p = self.params
         caps = [min(lam[0], p.q_max)] + [p.q_max] * (d - 1) + [min(nu[0], p.q_max)]
@@ -195,10 +182,6 @@ class TwoClassFlux(FluxFunction):
     @property
     def rho_jam(self) -> np.ndarray:
         return self.params.N / self.lengths
-
-    @property
-    def q_max(self) -> np.ndarray:
-        return self.capacity_occ / self.lengths
 
     def kernel(self, d, lam, nu):
         return _TwoClassKernel(self, d, lam, nu)
@@ -396,46 +379,3 @@ class _TwoClassKernel:
         recv = np.where(cong[:, None, None],
                         shares[:-1, :, None] * self.dlin / self.L[:, None], 0.0)
         return np.concatenate([send.ravel(), recv.ravel()])
-
-
-# ---------------------------------------------------------------------------
-# convenience entry points on raw parameter records
-
-
-def daganzo_sending(rho: float, p: DaganzoParams) -> float:
-    """Sending flow min(v_f * rho, q_max) of the triangular diagram."""
-    f = DaganzoFlux(p)
-    f.check_domain(rho)
-    return f.sending_scalar(rho)
-
-
-def daganzo_receiving(rho: float, p: DaganzoParams) -> float:
-    """Receiving flow min(w * (rho_max - rho), q_max)."""
-    f = DaganzoFlux(p)
-    f.check_domain(rho)
-    return f.receiving_scalar(rho)
-
-
-def _checked(f, *rhos):
-    rhos = [np.atleast_1d(np.asarray(rho, dtype=float)) for rho in rhos]
-    for rho in rhos:
-        f.check_domain(rho)
-    return rhos
-
-
-def discrete_flux(rho_send, rho_recv, f: FluxFunction) -> np.ndarray:
-    """Per-class flow across a boundary, min(sending, receiving)."""
-    return f.flux(*_checked(f, rho_send, rho_recv))
-
-
-def two_class_flux(rho_send, rho_recv, p: TwoClassParams) -> np.ndarray:
-    """Two-class boundary flow for the shared-occupancy diagram."""
-    return discrete_flux(rho_send, rho_recv, TwoClassFlux(p))
-
-
-def flux_jacobian(rho_send, rho_recv, f: FluxFunction):
-    """Partial derivatives of discrete_flux w.r.t. both density vectors.
-
-    Returns (d flux / d rho_send, d flux / d rho_recv), each m x m.
-    """
-    return f.flux_grad(*_checked(f, rho_send, rho_recv))

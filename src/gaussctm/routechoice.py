@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["RouteSummary", "utility", "linear_utility", "select_route",
-           "indifference_c"]
+__all__ = ["RouteSummary", "utility", "select_route", "indifference_c"]
 
 
 @dataclass(frozen=True)
@@ -24,13 +23,6 @@ def utility(r: RouteSummary, c: float) -> float:
     if c < 0:
         raise ValueError("risk weight must be nonnegative")
     return r.mean + c * r.std
-
-
-def linear_utility(r: RouteSummary, terms) -> float:
-    """Generalized utility: sum of weight * feature over (feature,
-    weight) pairs, features being 'mean' or 'std'."""
-    feats = {"mean": r.mean, "std": r.std}
-    return sum(w * feats[name] for name, w in terms)
 
 
 def select_route(routes, c: float) -> int:

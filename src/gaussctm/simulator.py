@@ -248,6 +248,8 @@ def estimate_throughput(traj: Trajectory, t_start, t_end) -> float:
     piecewise-constant rate along the trajectory."""
     if t_end <= t_start:
         raise ValueError("empty estimation window")
+    if t_start < 0:
+        raise ValueError("window starts before time 0")
     if t_end > traj.horizon + 1e-12:
         raise ValueError("window extends past trajectory horizon")
     edges = np.append(traj.times, traj.horizon)

@@ -241,15 +241,20 @@ def _euler(sys, dt, tol, max_iter, note=""):
         float(np.abs(F).max()), float(np.abs(Vdot).max()))
 
 
+def _state_index(sys, cell, cls):
+    """Index of (cell, class), both 1-based, in the state vector."""
+    if not (1 <= cell <= sys.n_cells and 1 <= cls <= sys.m):
+        raise ValueError("cell/class out of range")
+    return (cell - 1) * sys.m + (cls - 1)
+
+
 def cell_marginal(point: StationaryPoint, cell, cls=1) -> DiscreteMarginal:
     """Discrete marginal of the vehicle density in one (cell, class):
     the stationary Gaussian integrated over rectangles of half-width
     1/(2*l) around each attainable density, renormalized."""
     from scipy.special import ndtr
     sys = point.system
-    idx = (cell - 1) * sys.m + (cls - 1)
-    if not 0 <= idx < sys.n_state:
-        raise ValueError("cell/class out of range")
+    idx = _state_index(sys, cell, cls)
     ell = sys.state_lengths[idx]
     mu, var = point.mu[idx], point.V[idx, idx]
     support = np.arange(sys.x_jam[idx] + 1) / ell
@@ -271,7 +276,7 @@ def joint_marginal(point: StationaryPoint, cells, cls=1):
     if len(cells) > 3:
         raise ValueError("joint marginals are limited to 3 cells")
     sys = point.system
-    idxs = [(c - 1) * sys.m + (cls - 1) for c in cells]
+    idxs = [_state_index(sys, c, cls) for c in cells]
     ells = sys.state_lengths[idxs]
     supports = [np.arange(sys.x_jam[i] + 1) / l for i, l in zip(idxs, ells)]
     if np.prod([len(s) for s in supports]) > 1e6:

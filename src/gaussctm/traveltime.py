@@ -65,6 +65,8 @@ def travel_time_tail(spec, state0, i, k, j, t, grid, x0_cov=None,
         raise ValueError("cell span out of range")
     if not all(1 <= c <= m for c in classes):
         raise ValueError("class index out of range")
+    if t < 0:
+        raise ValueError("entry time t must be nonnegative")
     grid = np.asarray(grid, dtype=float)
     if np.any(grid < 0) or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be nonnegative ascending")

@@ -2,17 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaussctm.flux import (
-    DaganzoFlux,
-    DaganzoParams,
-    TwoClassFlux,
-    TwoClassParams,
-    daganzo_receiving,
-    daganzo_sending,
-    discrete_flux,
-    flux_jacobian,
-    two_class_flux,
-)
+from gaussctm.flux import DaganzoFlux, DaganzoParams, TwoClassFlux, TwoClassParams
+from gaussctm.model import SegmentSpec
 import flux_reference as ref
 from test_kernels import (DAG, TC as TC_EXACT, TC_REAL, bound, daganzo_density, dyadic,
                           two_class_state)
@@ -21,6 +12,10 @@ P = DaganzoParams(v_f=80.0, w=16.0, rho_max=108.0, q_max=1800.0)
 F = DaganzoFlux(P)
 TC = TwoClassParams(v_f1=108.0, v_f2=79.2, v_c=61.2, L1=0.0065, L2=0.0165,
                     N=3, beta=0.25)
+TCF = TwoClassFlux(TC)
+# one-cell systems: their check_domain is the diagram's domain check
+ONE_CELL = SegmentSpec.uniform(1, 1.0, F, 0.0, 0.0).system()
+ONE_CELL_TC = SegmentSpec.uniform(1, 1.0, TCF, (0.0, 0.0), (0.0, 0.0)).system()
 
 
 class TestParams:
@@ -44,89 +39,89 @@ class TestParams:
 
 class TestDaganzoSending:
     def test_empty_cell_sends_nothing(self):
-        assert daganzo_sending(0.0, P) == 0.0
+        assert F.sending_scalar(0.0) == 0.0
 
     def test_free_flow_value(self):
-        assert daganzo_sending(10.0, P) == 800.0
+        assert F.sending_scalar(10.0) == 800.0
 
     def test_capacity_cap(self):
-        assert daganzo_sending(108.0, P) == 1800.0
+        assert F.sending_scalar(108.0) == 1800.0
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            daganzo_sending(-1.0, P)
+            ONE_CELL.check_domain([-1.0])
         with pytest.raises(ValueError):
-            daganzo_sending(109.0, P)
+            ONE_CELL.check_domain([109.0])
 
     @given(st.floats(0.0, 108.0), st.floats(0.0, 108.0))
     def test_nondecreasing(self, a, b):
         lo, hi = min(a, b), max(a, b)
-        assert daganzo_sending(lo, P) <= daganzo_sending(hi, P)
+        assert F.sending_scalar(lo) <= F.sending_scalar(hi)
 
 
 class TestDaganzoReceiving:
     def test_jammed_receiver(self):
-        assert daganzo_receiving(108.0, P) == 0.0
+        assert F.receiving_scalar(108.0) == 0.0
 
     def test_empty_receiver(self):
-        assert daganzo_receiving(0.0, P) == 1728.0
+        assert F.receiving_scalar(0.0) == 1728.0
 
     def test_backward_wave_value(self):
-        assert daganzo_receiving(58.0, P) == 800.0
+        assert F.receiving_scalar(58.0) == 800.0
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            daganzo_receiving(120.0, P)
+            ONE_CELL.check_domain([120.0])
 
     @given(st.floats(0.0, 108.0), st.floats(0.0, 108.0))
     def test_nonincreasing(self, a, b):
         lo, hi = min(a, b), max(a, b)
-        assert daganzo_receiving(lo, P) >= daganzo_receiving(hi, P)
+        assert F.receiving_scalar(lo) >= F.receiving_scalar(hi)
 
 
 class TestDiscreteFlux:
     def test_empty(self):
-        assert discrete_flux(0.0, 0.0, F)[0] == 0.0
+        assert F.flux([0.0], [0.0])[0] == 0.0
 
     def test_free_flow(self):
-        assert discrete_flux(10.0, 0.0, F)[0] == 800.0
+        assert F.flux([10.0], [0.0])[0] == 800.0
 
     def test_jammed_receiver(self):
-        assert discrete_flux(50.0, 108.0, F)[0] == 0.0
+        assert F.flux([50.0], [108.0])[0] == 0.0
 
     @given(st.floats(0.0, 108.0), st.floats(0.0, 108.0))
     def test_bounded(self, rs, rr):
-        q = discrete_flux(rs, rr, F)[0]
+        q = F.flux([rs], [rr])[0]
         assert 0.0 <= q <= P.q_max
 
     @given(st.floats(0.0, 108.0), st.floats(0.0, 108.0),
            st.floats(0.0, 108.0))
     def test_monotone(self, rs, rr, other):
         lo, hi = min(rs, other), max(rs, other)
-        assert discrete_flux(lo, rr, F)[0] <= discrete_flux(hi, rr, F)[0]
-        assert discrete_flux(rr, lo, F)[0] >= discrete_flux(rr, hi, F)[0]
+        assert F.flux([lo], [rr])[0] <= F.flux([hi], [rr])[0]
+        assert F.flux([rr], [lo])[0] >= F.flux([rr], [hi])[0]
 
 
 class TestFluxJacobian:
     def test_free_flow_point(self):
-        ds, dr = flux_jacobian(10.0, 0.0, F)
+        ds, dr = F.flux_grad([10.0], [0.0])
         assert ds[0, 0] == 80.0
         assert dr[0, 0] == 0.0
 
     def test_congested_point(self):
-        ds, dr = flux_jacobian(50.0, 100.0, F)
+        ds, dr = F.flux_grad([50.0], [100.0])
         assert ds[0, 0] == 0.0
         assert dr[0, 0] == -16.0
 
     def test_capacity_cap_kills_sending_slope(self):
         # sending capped at q_max, receiving strictly active
-        ds, dr = flux_jacobian(50.0, 10.0, F)
+        ds, dr = F.flux_grad([50.0], [10.0])
         assert ds[0, 0] == 0.0
         assert dr[0, 0] == -16.0
 
     def test_exact_tie_gives_zero_gradient(self):
         # sending(10) == receiving(58) == 800: tie convention
-        ds, dr = flux_jacobian(10.0, 58.0, F)
+        ds, dr = F.flux_grad([10.0], [58.0])
         assert ds[0, 0] == 0.0
         assert dr[0, 0] == 0.0
 
@@ -143,11 +138,11 @@ class TestFluxJacobian:
                     or abs(P.w * (P.rho_max - rr) - P.q_max) < kink_tol
                     or abs(s - r) < kink_tol):
                 continue
-            ds, dr = flux_jacobian(rs, rr, F)
-            fd_s = (discrete_flux(rs + h, rr, F)[0]
-                    - discrete_flux(rs - h, rr, F)[0]) / (2 * h)
-            fd_r = (discrete_flux(rs, rr + h, F)[0]
-                    - discrete_flux(rs, rr - h, F)[0]) / (2 * h)
+            ds, dr = F.flux_grad([rs], [rr])
+            fd_s = (F.flux([rs + h], [rr])[0]
+                    - F.flux([rs - h], [rr])[0]) / (2 * h)
+            fd_r = (F.flux([rs], [rr + h])[0]
+                    - F.flux([rs], [rr - h])[0]) / (2 * h)
             assert abs(ds[0, 0] - fd_s) < tol
             assert abs(dr[0, 0] - fd_r) < tol
             checked += 1
@@ -155,20 +150,20 @@ class TestFluxJacobian:
 
 class TestTwoClassFlux:
     def test_empty(self):
-        assert np.all(two_class_flux((0.0, 0.0), (0.0, 0.0), TC) == 0.0)
+        assert np.all(TCF.flux((0.0, 0.0), (0.0, 0.0)) == 0.0)
 
     def test_low_density_free_flow(self):
-        q = two_class_flux((5.0, 1.0), (0.0, 0.0), TC)
+        q = TCF.flux((5.0, 1.0), (0.0, 0.0))
         np.testing.assert_allclose(q, [5 * 108.0, 1 * 79.2])
 
     def test_full_receiver(self):
         full = (TC.N / TC.L1, 0.0)  # occupancy N
-        q = two_class_flux((5.0, 1.0), full, TC)
+        q = TCF.flux((5.0, 1.0), full)
         np.testing.assert_allclose(q, [0.0, 0.0], atol=1e-9)
 
     def test_occupancy_domain_error(self):
         with pytest.raises(ValueError):
-            two_class_flux((2 * TC.N / TC.L1, 0.0), (0.0, 0.0), TC)
+            ONE_CELL_TC.check_domain([2 * TC.N / TC.L1, 0.0])
 
     def test_truck_speed_never_exceeds_free_flow(self):
         rng = np.random.default_rng(1)
@@ -223,28 +218,24 @@ class TestTwoClassFlux:
 
 def views(f, s, r, lam, nu):
     """(name, library values, reference values) of every per-boundary view
-    and public function on sending density s, receiving density r,
-    arrival bound lam and departure bound nu."""
-    flux = ref.boundary(f, s, r)
+    on sending density s, receiving density r, arrival bound lam and
+    departure bound nu."""
     out = [
-        ("flux", (f.flux(s, r), *f.flux_grad(s, r)), flux),
+        ("flux", (f.flux(s, r), *f.flux_grad(s, r)), ref.boundary(f, s, r)),
         ("inflow", (f.inflow(lam, r), f.inflow_grad(lam, r)),
          ref.boundary(f, rho_recv=r, lam=lam)[::2]),
         ("outflow", (f.outflow(s, nu), f.outflow_grad(s, nu)), ref.boundary(f, s, nu=nu)),
         ("demand", (f.demand(s), f.demand_grad(s)),
          ref.boundary(f, s, nu=np.full(f.m, np.inf))),
-        ("discrete_flux", (discrete_flux(s, r, f), *flux_jacobian(s, r, f)), flux),
     ]
     if f.m == 2:
-        return out + [("two_class_flux", (two_class_flux(s, r, f.params),), flux)]
+        return out
     p, s, r = f.params, s[0], r[0]
-    scalars = (ref.sending(p, s), ref.sending_grad(p, s),
-               ref.receiving(p, r), ref.receiving_grad(p, r))
     return out + [
         ("scalar views", (f.sending_scalar(s), f.sending_grad_scalar(s),
-                          f.receiving_scalar(r), f.receiving_grad_scalar(r)), scalars),
-        ("daganzo_sending, daganzo_receiving",
-         (daganzo_sending(s, p), daganzo_receiving(r, p)), scalars[::2]),
+                          f.receiving_scalar(r), f.receiving_grad_scalar(r)),
+         (ref.sending(p, s), ref.sending_grad(p, s),
+          ref.receiving(p, r), ref.receiving_grad(p, r))),
     ]
 
 

@@ -398,8 +398,9 @@ class TestDomain:
         spec = SegmentSpec.uniform(2, 0.5, TC, (1000.0, 250.0), (900.0, 100.0))
         sys = spec.system()
         rho = 0.9 * sys.rho_jam
+        cell = SegmentSpec.uniform(1, 0.5, TC, (1000.0, 250.0), (900.0, 100.0)).system()
         with pytest.raises(ValueError, match="jam occupancy"):
-            TC.check_domain(rho[:2])
+            cell.check_domain(rho[:2])
         for solve in all_solvers(spec, rho):
             with pytest.raises(ValueError, match="jam occupancy"):
                 solve([0.0, 0.01])

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from gaussctm.routechoice import (
     RouteSummary,
     indifference_c,
-    linear_utility,
     select_route,
     utility,
 )
@@ -30,11 +29,6 @@ class TestUtility:
     def test_negative_std_rejected(self):
         with pytest.raises(ValueError):
             RouteSummary(1, 100.0, -1.0)
-
-    def test_linear_utility_generalizes(self):
-        terms = (("mean", 1.0), ("std", 2.5))
-        assert linear_utility(R1, terms) == pytest.approx(utility(R1, 2.5))
-        assert linear_utility(R1, (("std", 1.0),)) == 25.43
 
 
 class TestSelectRoute:

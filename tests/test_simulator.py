@@ -278,6 +278,13 @@ class TestThroughput:
         with pytest.raises(ValueError):
             estimate_throughput(traj, 0.0, 2.0)
 
+    def test_window_starts_at_or_after_zero(self):
+        # the time before 0 would count as zero flow, halving the
+        # estimate over [-1, 1]
+        traj = simulate(seg(d=3, ell=0.5, lam=1000.0, nu=1200.0), [0, 0, 0], 1.0, 0)
+        with pytest.raises(ValueError, match="before time 0"):
+            estimate_throughput(traj, -1.0, 1.0)
+
 
 class TestEnsemble:
     def test_needs_two_replications(self):

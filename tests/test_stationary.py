@@ -180,6 +180,13 @@ class TestCellMarginal:
         with pytest.raises(ValueError):
             cell_marginal(point_1d(10.0, 4.0), 2)
 
+    def test_cell_and_class_are_checked_one_by_one(self):
+        # (1, 2) and (2, 0) have the in-range flat indices of cells 2 and 1
+        fp = stationary_fixed_point(seg(d=3, ell=0.5, lam=1000.0, nu=1200.0))
+        for cell, cls in ((1, 2), (2, 0), (0, 1), (4, 1)):
+            with pytest.raises(ValueError, match="out of range"):
+                cell_marginal(fp, cell, cls)
+
 
 class TestJointMarginal:
     def test_two_cells(self):
@@ -213,6 +220,13 @@ class TestJointMarginal:
             SegmentSpec.uniform(4, 11.0 / 108.0, F, 800.0, 1800.0))
         with pytest.raises(ValueError):
             joint_marginal(fp, [1, 2, 3, 4])
+
+    def test_cell_index_validation(self):
+        # cell 0 would index -1, the last cell
+        fp = stationary_fixed_point(seg(d=3, ell=0.5, lam=1000.0, nu=1200.0))
+        for cells in ([0, 1], [1, 4]):
+            with pytest.raises(ValueError, match="out of range"):
+                joint_marginal(fp, cells)
 
 
 class TestMetrics:

@@ -12,8 +12,7 @@ import pytest
 import gaussctm
 import gaussctm.cli
 from gaussctm.cli import example_network
-from gaussctm.flux import (DaganzoFlux, DaganzoParams, TwoClassFlux, TwoClassParams,
-                           discrete_flux)
+from gaussctm.flux import DaganzoFlux, DaganzoParams, TwoClassFlux, TwoClassParams
 from gaussctm.gaussian import solve_cumulative_moments
 from gaussctm.model import SegmentSpec, TransitionSystem
 
@@ -42,7 +41,7 @@ def test_install_traces_and_uninstall_restores():
     tracer.install(gaussctm)
     try:
         f = DaganzoFlux(DaganzoParams(v_f=80.0, w=16.0, rho_max=108.0, q_max=1800.0))
-        assert discrete_flux(10.0, 0.0, f)[0] == 800.0
+        assert f.flux([10.0], [0.0])[0] == 800.0
         assert SegmentSpec.uniform(2, 1.0, f, 800.0, 1800.0).system().rates(np.zeros(2))[0] == 800.0
         sp = tracer.spans()
     finally:

@@ -173,6 +173,11 @@ class TestTail:
             travel_time_tail(spec, np.full(3, 10.0), i=1, k=2, j=1,
                              t=0.0, grid=grid[::-1])
 
+    def test_entry_time_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="entry time"):
+            travel_time_tail(self.spec(), np.full(3, 10.0), i=1, k=2, j=1,
+                             t=-0.5, grid=default_grid(400.0, 41))
+
     def test_initial_uncertainty_widens_the_distribution(self):
         spec = self.spec()
         grid = default_grid(700.0, 701)
