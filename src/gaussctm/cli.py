@@ -83,6 +83,8 @@ def run_throughput_sweep(cfg, out, seed, dry_run=False):
     horizon = _num(sim["horizon_h"])
     warmup = _num(sim["warmup_h"])
     reps = int(sim["replications"])
+    if reps < 1:
+        raise ValueError("[simulation] replications must be at least 1")
     dt = _num(cfg["solver"]["fixed_point_dt_h"])
     tol = _num(cfg["solver"]["fixed_point_tol"])
     if dry_run:

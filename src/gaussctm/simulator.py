@@ -12,9 +12,9 @@ refreshes after an event only the rates that read the changed cells
 (Gibson & Bruck 2000); any other kernel gives one whole-array `rates`
 call per event; with two or more classes, that path also gives zero
 rate to an arrival that would fill its cell past the jam occupancy.
-A run records the event
-times, the fired transitions and the boundary rate sums; the counts are
-derived from these when first read.
+A run records only the event times and the fired transitions; the
+counts and the boundary rate sums are derived from these when first
+read.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from operator import itemgetter
 
 import numpy as np
 
@@ -42,22 +41,21 @@ class SimulationError(RuntimeError):
 
 
 class Trajectory:
-    """One realization: event times, the index of the transition fired
-    at each event, and the piecewise-constant boundary rates (for
-    time-average flow estimators); the counts after each event follow
-    from the initial counts and the fired transitions."""
+    """One realization: event times and the index of the transition fired
+    at each event; the counts after each event and the piecewise-constant
+    boundary rates (for time-average flow estimators) follow from the
+    initial counts and the fired transitions."""
 
-    def __init__(self, system, x0, times, trans, arr_rate, dep_rate,
-                 horizon, absorbed):
+    def __init__(self, system, x0, times, trans, horizon, absorbed, rates_along):
         self.system = system
         self.x0 = x0
         self.times = np.asarray(times)  # t_0 = 0 plus one entry per event
         self.trans = np.asarray(trans, dtype=np.int64)  # (n_events,)
-        # rate on the interval [times[k], times[k+1]) (last one runs to horizon)
-        self.arrival_rate = np.asarray(arr_rate)
-        self.departure_rate = np.asarray(dep_rate)
         self.horizon = horizon
         self.absorbed = absorbed
+        # rates_along(traj, links) yields each link's rate per interval, as
+        # the run's loop evaluated it
+        self._rates_along = rates_along
 
     @cached_property
     def counts(self):
@@ -67,6 +65,31 @@ class Trajectory:
         steps[0] = self.x0
         steps[1:] = self.system.H.T[self.trans]
         return np.cumsum(steps, axis=0, out=steps)
+
+    def _count_path(self, state):
+        """Counts of one state after each event, (n_times,)."""
+        steps = np.empty(len(self.times), dtype=np.int64)
+        steps[0] = self.x0[state]
+        steps[1:] = self.system.H[state, self.trans]
+        return np.cumsum(steps, out=steps)
+
+    @cached_property
+    def arrival_rate(self):
+        """Summed rate of the arrivals on [times[k], times[k+1]) (the last
+        interval runs to the horizon)."""
+        return self._rate_sum(self.system.src < 0)
+
+    @cached_property
+    def departure_rate(self):
+        """Summed rate of the departures, as `arrival_rate`."""
+        return self._rate_sum(self.system.dst < 0)
+
+    def _rate_sum(self, mask):
+        # from 0 in transition order, as the loop summed them
+        total = np.zeros(len(self.times))
+        for q in self._rates_along(self, np.flatnonzero(mask).tolist()):
+            total += q
+        return total
 
     @property
     def n_events(self):
@@ -93,7 +116,7 @@ class Trajectory:
 
 def _link_rates(sys, dens):
     """For a Daganzo kernel of links only, per transition k the tuples
-    (i, cell, table, cell, table of i's sending and receiving candidates)
+    (i + 1, cell, table, cell, table of i's sending and receiving candidates)
     of every transition i whose rate reads k's source or destination cell
     (from the kernel's Jacobian sparsity), and last the tuples of all
     transitions.  A table holds max(0, min(scale (off + sgn rho), cap))
@@ -107,7 +130,7 @@ def _link_rates(sys, dens):
     lin = kern.scale[:, None] * (kern.off[:, None] + kern.sgn[:, None] * dens[kern.idx])
     lin = np.minimum(lin, kern.cap[:, None])
     tab = np.where(lin > 0.0, lin, 0.0).tolist()
-    rows = [(k, idx[2 * k], tab[2 * k], idx[2 * k + 1], tab[2 * k + 1])
+    rows = [(k + 1, idx[2 * k], tab[2 * k], idx[2 * k + 1], tab[2 * k + 1])
             for k in range(sys.n_trans)]
     reads = [set() for _ in range(sys.n_state + 1)]  # reads[-1]: the boundary
     for r, c in zip(kern.rows.tolist(), kern.cols.tolist()):
@@ -116,16 +139,17 @@ def _link_rates(sys, dens):
             for s, d in zip(sys.src.tolist(), sys.dst.tolist())] + [rows]
 
 
-def _occupancy_bound(sys):
-    """For m >= 2 classes, (G, thr) such that transition k's arrival would
-    fill its destination cell past the jam occupancy iff G[k] @ rho >
-    thr[k]: the sum over the cell's classes of rho / rho_jam, after the
-    arrival, above 1 to 1e-9 as in `check_occupancy`.  The two-class
-    supply stays positive below full occupancy, and one class-j vehicle
-    adds L_j / (N l) to it.  None for one class, whose receiving rate is
-    already 0 at x_jam."""
+def _bounded_rates(sys):
+    """rho -> sys.rates(rho), where for m >= 2 classes a transition whose
+    arrival would fill its destination cell past the jam occupancy gets
+    rate 0: iff G[k] @ rho > thr[k], the sum over the cell's classes of
+    rho / rho_jam, after the arrival, above 1 to 1e-9 as in
+    `check_occupancy`.  The two-class supply stays positive below full
+    occupancy, and one class-j vehicle adds L_j / (N l) to it.  One class
+    needs no bound: its receiving rate is already 0 at x_jam."""
+    rates = sys.rates
     if sys.m == 1:
-        return None
+        return rates
     into = np.flatnonzero(sys.dst >= 0)
     d = sys.dst[into]
     G = np.zeros((sys.n_trans, sys.n_state))
@@ -134,18 +158,40 @@ def _occupancy_bound(sys):
         G[into, state] = 1.0 / sys.rho_jam[state]
     thr = np.full(sys.n_trans, np.inf)
     thr[into] = 1.0 + 1e-9 - 1.0 / (sys.rho_jam[d] * sys.state_lengths[d])
-    return G, thr
+
+    def bounded(rho):
+        q = rates(rho)
+        q[G @ rho > thr] = 0.0
+        return q
+    return bounded
 
 
-def _sum_over(idx):
-    """q -> the sum of q[i] over idx, in order."""
-    if len(idx) == 1:
-        return itemgetter(idx[0])
-    return lambda q: sum([q[i] for i in idx], 0.0)
+def _table_rates(rows):
+    """Link rates of a run on the table path: each link's two tables (see
+    `_link_rates`) read along the count paths of their cells."""
+    def along(traj, links):
+        paths = {}
+        for i in links:
+            _, c0, A, c1, B = rows[i]
+            for c in (c0, c1):
+                if c not in paths:
+                    paths[c] = traj._count_path(c)
+            yield np.minimum(np.array(A)[paths[c0]], np.array(B)[paths[c1]])
+    return along
+
+
+def _array_rates(rates, dens):
+    """Link rates of a run on the whole-array path: `rates` at the
+    densities of each visited state."""
+    def along(traj, links):
+        states = np.arange(traj.system.n_state)
+        q = np.array([rates(dens[states, c]) for c in traj.counts])
+        yield from q.T[links]
+    return along
 
 
 def simulate(spec, initial_counts, horizon, seed=0) -> Trajectory:
-    """Run one exact realization over [0, horizon] (h).
+    """Run one exact realization over [0, horizon] (h), 0 < horizon < inf.
 
     `initial_counts` are integer vehicle counts per (cell, class), within
     the jam count of each single-class cell and the jam occupancy of each
@@ -153,8 +199,8 @@ def simulate(spec, initial_counts, horizon, seed=0) -> Trajectory:
     `seed` is an int, a `SeedSequence` or a `Generator`, which is used as
     is.  Zero total rate absorbs the chain (recorded, not an error).
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < np.inf:
+        raise ValueError("horizon must be positive and finite")
     sys = spec.system()
     x0 = np.asarray(initial_counts)
     if x0.shape != (sys.n_state,):
@@ -162,7 +208,7 @@ def simulate(spec, initial_counts, horizon, seed=0) -> Trajectory:
     if not np.all(x0 == np.rint(x0)):
         raise ValueError("initial counts must be integers")
     x0 = x0.astype(np.int64)
-    # a two-class start is bounded by occupancy, as `_occupancy_bound` bounds
+    # a two-class start is bounded by occupancy, as `_bounded_rates` bounds
     # the chain, not by the rounded-up x_jam of each class alone
     check_occupancy(x0, sys.x_jam if sys.m == 1 else sys.rho_jam * sys.state_lengths,
                     sys.m, "initial counts")
@@ -176,15 +222,14 @@ def simulate(spec, initial_counts, horizon, seed=0) -> Trajectory:
     x = np.arange(sys.x_jam.max() + 1)
     dens = np.where(x < jam, x * inv_len, np.maximum(jam * inv_len, sys.rho_jam[:, None]))
     after = _link_rates(sys, dens)  # after[-1]: before the first event, every rate
+    rates = _bounded_rates(sys)
+    along = _array_rates(rates, dens) if after is None else _table_rates(after[-1])
     x_jam, dens, counts = sys.x_jam.tolist(), dens.tolist(), x0.tolist()
     rho = [r[c] for r, c in zip(dens, counts)]  # the whole-array path's densities
     src, dst = sys.src.tolist(), sys.dst.tolist()  # -1 at the boundary
-    arr_sum = _sum_over(np.flatnonzero(sys.src < 0).tolist())
-    dep_sum = _sum_over(np.flatnonzero(sys.dst < 0).tolist())
-    bound = _occupancy_bound(sys)
-    q = [0.0] * n
+    q = [0.0] * (n + 1)  # q[i + 1]: rate i, after a 0 that starts the running sums
 
-    times, trans, arr_rate, dep_rate = [0.0], [], [], []
+    times, trans = [0.0], []
     t = 0.0
     block = _FIRST_BLOCK // 2
     exps = unis = ()
@@ -196,20 +241,13 @@ def simulate(spec, initial_counts, horizon, seed=0) -> Trajectory:
             # the last event's two cells (the boundary, -1, rewrites the last
             # state's density unchanged)
             rho[s], rho[d] = dens[s][counts[s]], dens[d][counts[d]]
-            r = np.array(rho)
-            q = sys.rates(r)
-            if bound is not None:
-                G, thr = bound
-                q[G @ r > thr] = 0.0
-            q = q.tolist()
+            q = [0.0, *rates(np.array(rho)).tolist()]
         else:
             for i, i0, A, i1, B in after[k]:
                 a, b = A[counts[i0]], B[counts[i1]]
                 q[i] = a if a < b else b
-        cum = list(accumulate(q, initial=0.0))  # exact running sums
+        cum = list(accumulate(q))  # exact running sums
         total = cum[-1]
-        arr_rate.append(arr_sum(q))
-        dep_rate.append(dep_sum(q))
         if total <= 1e-13:
             absorbed = True
             break
@@ -239,13 +277,14 @@ def simulate(spec, initial_counts, horizon, seed=0) -> Trajectory:
             if counts[d] > x_jam[d]:
                 raise SimulationError(f"{sys.labels[k]}: state {d} above jam")
 
-    return Trajectory(sys, x0, times, trans, arr_rate, dep_rate, horizon,
-                      absorbed)
+    return Trajectory(sys, x0, times, trans, horizon, absorbed, along)
 
 
 def estimate_throughput(traj: Trajectory, t_start, t_end) -> float:
     """Time-average arrival rate over [t_start, t_end], integrating the
     piecewise-constant rate along the trajectory."""
+    if not (np.isfinite(t_start) and np.isfinite(t_end)):
+        raise ValueError("window bounds must be finite")
     if t_end <= t_start:
         raise ValueError("empty estimation window")
     if t_start < 0:

@@ -180,6 +180,13 @@ class TestThroughputCommand:
         assert abs(det - 800.0) < 40.0
         assert abs(sim - 800.0) < 80.0
 
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_replications_must_be_positive(self, tmp_path, reps):
+        # with no replication the simulated column was the mean of nothing
+        ini = THROUGHPUT_INI.replace("replications = 2", f"replications = {reps}")
+        with pytest.raises(ValueError, match="replications"):
+            run(tmp_path, "t", ini, "throughput")
+
 
 class TestRouteChoiceCommand:
     def test_moment_and_selection_rows(self, tmp_path):

@@ -25,9 +25,14 @@ def seg(d=1, ell=1.0, lam=800.0, nu=1800.0):
 
 class TestSimulate:
     def test_horizon_must_be_positive(self):
-        for horizon in (0.0, -1.0):
+        # the chain of a segment with arrivals never absorbs: a NaN or an
+        # infinite horizon, which no event time reaches, would have let it
+        # append events until memory ran out
+        for horizon in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="horizon"):
                 simulate(seg(), [10], horizon)
+            with pytest.raises(ValueError, match="horizon"):
+                ensemble_moments(seg(), [10], horizon, [0.0], 2)
 
     def test_seed_forms_give_one_stream(self):
         # an int, the SeedSequence of that int and a generator made from
@@ -151,6 +156,31 @@ class TestSimulate:
         assert table.n_events > 100
         for name in ("times", "trans", "arrival_rate", "departure_rate"):
             assert np.array_equal(getattr(table, name), getattr(array, name)), name
+
+    def test_derived_rates_on_whole_array_path(self):
+        # a two-class segment started near its jam occupancy: the derived
+        # boundary rates are the sums of `rates` at each visited state,
+        # with an arrival that would fill its cell past occupancy N at 0
+        ell, N, L = 0.5, TC.params.N, TC.lengths
+        sys = SegmentSpec.uniform(2, ell, TC, (2400.0, 800.0), (300.0, 100.0)).system()
+        x0 = np.floor(0.49 * sys.rho_jam * sys.state_lengths).astype(int)
+        traj = simulate(sys, x0, 0.3, 5)
+        assert traj.n_events > 100
+        into = sys.dst >= 0
+        cell, cls = sys.dst[into] // sys.m, sys.dst[into] % sys.m
+        inv, masked = 1 / sys.state_lengths, 0
+        for k, counts in enumerate(traj.counts):
+            q = sys.rates(counts * inv)
+            after = (counts.reshape(-1, sys.m)[cell] @ L + L[cls]) / ell
+            full = np.zeros(sys.n_trans, dtype=bool)
+            full[into] = after > N * (1 + 1e-9)
+            masked += np.count_nonzero(full & (q > 0.0))
+            q[full] = 0.0
+            assert traj.arrival_rate[k] == q[sys.src < 0].sum()
+            assert traj.departure_rate[k] == q[sys.dst < 0].sum()
+            if k < traj.n_events:
+                assert q[traj.trans[k]] > 0.0
+        assert masked > 0, masked
 
     def test_full_cell_receives_nothing(self):
         # on 77 of these lengths, k = 15 the first, x_jam * (1 / l) rounds
@@ -277,6 +307,10 @@ class TestThroughput:
             estimate_throughput(traj, 0.5, 0.5)
         with pytest.raises(ValueError):
             estimate_throughput(traj, 0.0, 2.0)
+        # a NaN bound passed every comparison and gave nan
+        for window in ((np.nan, 1.0), (0.0, np.nan), (-np.inf, 1.0), (0.0, np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                estimate_throughput(traj, *window)
 
     def test_window_starts_at_or_after_zero(self):
         # the time before 0 would count as zero flow, halving the
