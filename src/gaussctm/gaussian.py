@@ -137,12 +137,13 @@ def _steps(span, step):
 
 
 def _grid(time_grid, step):
-    """Strictly increasing `time_grid` relative to its first point."""
-    if step <= 0:
+    """Finite, strictly increasing `time_grid` relative to its first point."""
+    if not step > 0:
         raise ValueError("step must be positive")
     grid = np.asarray(time_grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 1 or np.any(np.diff(grid) <= 0):
-        raise ValueError("time grid must be strictly increasing")
+    if (grid.ndim != 1 or len(grid) < 1 or not np.isfinite(grid).all()
+            or np.any(np.diff(grid) <= 0)):
+        raise ValueError("time grid must be finite and strictly increasing")
     return grid - grid[0]
 
 

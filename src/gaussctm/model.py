@@ -33,6 +33,7 @@ declaration order, padding cells being ordinary one-cell roads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,7 +59,8 @@ class NetworkConfigError(ValueError):
 
 class TransitionSystem:
     """Cells plus unit-vehicle transitions with state-dependent rates,
-    computed by `kernel` (see the module docstring)."""
+    computed by `kernel` (see the module docstring).  `count_density` is
+    the density that each whole count of each state stands for."""
 
     def __init__(self, lengths, m, rho_jam, src, dst, labels, kernel,
                  cell_labels=None):
@@ -98,6 +100,15 @@ class TransitionSystem:
     def system(self):
         """The system itself: solvers call `spec.system()` on either."""
         return self
+
+    @cached_property
+    def count_density(self):
+        """(n_state, max x_jam + 1): x * (1 / l) for a count x below x_jam
+        and exactly rho_jam from x_jam on, so that a full cell has zero
+        supply and lies in the domain where x_jam / l passes rho_jam."""
+        x = np.arange(self.x_jam.max() + 1)
+        return np.where(x < self.x_jam[:, None],
+                        x * (1.0 / self.state_lengths[:, None]), self.rho_jam[:, None])
 
     def check_domain(self, rho):
         rho = np.asarray(rho, dtype=float)

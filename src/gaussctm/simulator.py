@@ -4,10 +4,11 @@ Ground truth for the Gaussian approximations: the state is the integer
 vector of vehicle counts per (cell, class); each transition moves one
 vehicle, with exponential holding times at the current total rate and
 the next transition drawn proportionally to its rate (Gillespie's direct
-method), from exponential and uniform variates drawn in blocks.  For a
-Daganzo kernel of links only (a segment) each link rate is the smaller
-of two capped candidate flows, each a function of one cell's count: the
-loop reads them from tables indexed by count, built once per run, and
+method), from exponential and uniform variates drawn in blocks.  A count
+stands for its density in the system's `count_density`.  For a Daganzo
+kernel of links only (a segment) each link rate is the smaller of two
+capped candidate flows, each a function of one cell's count: the loop
+reads them from tables indexed by count, built once per run, and
 refreshes after an event only the rates that read the changed cells
 (Gibson & Bruck 2000); any other kernel gives one whole-array `rates`
 call per event; with two or more classes, that path also gives zero
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -44,18 +45,17 @@ class Trajectory:
     """One realization: event times and the index of the transition fired
     at each event; the counts after each event and the piecewise-constant
     boundary rates (for time-average flow estimators) follow from the
-    initial counts and the fired transitions."""
+    initial counts, the fired transitions and the run's count `tables`
+    (`_link_rates`; None on the whole-array path)."""
 
-    def __init__(self, system, x0, times, trans, horizon, absorbed, rates_along):
+    def __init__(self, system, x0, times, trans, horizon, absorbed, tables):
         self.system = system
         self.x0 = x0
         self.times = np.asarray(times)  # t_0 = 0 plus one entry per event
         self.trans = np.asarray(trans, dtype=np.int64)  # (n_events,)
         self.horizon = horizon
         self.absorbed = absorbed
-        # rates_along(traj, links) yields each link's rate per interval, as
-        # the run's loop evaluated it
-        self._rates_along = rates_along
+        self.tables = tables
 
     @cached_property
     def counts(self):
@@ -85,11 +85,27 @@ class Trajectory:
         return self._rate_sum(self.system.dst < 0)
 
     def _rate_sum(self, mask):
-        # from 0 in transition order, as the loop summed them
+        """Summed rates of the transitions in `mask` per interval, as the
+        loop evaluated them: from the count tables along each cell's count
+        path, or `_bounded_rates` at each visited state's densities."""
+        links = np.flatnonzero(mask).tolist()
+        # summed from 0 in transition order, as the loop summed them
         total = np.zeros(len(self.times))
-        for q in self._rates_along(self, np.flatnonzero(mask).tolist()):
-            total += q
+        if self.tables is None:
+            rates = _bounded_rates(self.system)
+            q = np.array([rates(rho) for rho in self._densities(self.counts)])
+            for i in links:
+                total += q[:, i]
+            return total
+        path = cache(self._count_path)  # one path per cell read
+        for i in links:
+            _, c0, A, c1, B = self.tables[i]
+            total += np.minimum(np.array(A)[path(c0)], np.array(B)[path(c1)])
         return total
+
+    def _densities(self, counts):
+        """The `count_density` of each state's count in `counts` (..., n_state)."""
+        return self.system.count_density[np.arange(self.system.n_state), counts]
 
     @property
     def n_events(self):
@@ -97,13 +113,13 @@ class Trajectory:
 
     def state_at(self, t):
         """Counts at time t (piecewise constant, right-continuous)."""
-        if t < 0 or t > self.horizon:
+        if not 0 <= t <= self.horizon:  # NaN too
             raise ValueError("time outside trajectory horizon")
         k = np.searchsorted(self.times, t, side="right") - 1
         return self.counts[k]
 
     def density_at(self, t):
-        return self.state_at(t) / self.system.state_lengths
+        return self._densities(self.state_at(t))
 
     def cumulative_counts(self):
         """Realized cumulative transition counts Y(t) per transition,
@@ -114,20 +130,21 @@ class Trajectory:
         return Y
 
 
-def _link_rates(sys, dens):
+def _link_rates(sys):
     """For a Daganzo kernel of links only, per transition k the tuples
     (i + 1, cell, table, cell, table of i's sending and receiving candidates)
     of every transition i whose rate reads k's source or destination cell
     (from the kernel's Jacobian sparsity), and last the tuples of all
     transitions.  A table holds max(0, min(scale (off + sgn rho), cap))
-    per count of its cell at rho = dens[cell][count] (all inf for a None
+    per count of its cell at its `count_density` rho (all inf for a None
     candidate), so that rate i is the smaller of its two entries.  None
     for any other kernel."""
     kern = sys.kernel
     if not isinstance(kern, _DaganzoKernel) or kern.nd or kern.nm:
         return None
     idx = kern.idx.tolist()
-    lin = kern.scale[:, None] * (kern.off[:, None] + kern.sgn[:, None] * dens[kern.idx])
+    rho = sys.count_density[kern.idx]
+    lin = kern.scale[:, None] * (kern.off[:, None] + kern.sgn[:, None] * rho)
     lin = np.minimum(lin, kern.cap[:, None])
     tab = np.where(lin > 0.0, lin, 0.0).tolist()
     rows = [(k + 1, idx[2 * k], tab[2 * k], idx[2 * k + 1], tab[2 * k + 1])
@@ -166,30 +183,6 @@ def _bounded_rates(sys):
     return bounded
 
 
-def _table_rates(rows):
-    """Link rates of a run on the table path: each link's two tables (see
-    `_link_rates`) read along the count paths of their cells."""
-    def along(traj, links):
-        paths = {}
-        for i in links:
-            _, c0, A, c1, B = rows[i]
-            for c in (c0, c1):
-                if c not in paths:
-                    paths[c] = traj._count_path(c)
-            yield np.minimum(np.array(A)[paths[c0]], np.array(B)[paths[c1]])
-    return along
-
-
-def _array_rates(rates, dens):
-    """Link rates of a run on the whole-array path: `rates` at the
-    densities of each visited state."""
-    def along(traj, links):
-        states = np.arange(traj.system.n_state)
-        q = np.array([rates(dens[states, c]) for c in traj.counts])
-        yield from q.T[links]
-    return along
-
-
 def simulate(spec, initial_counts, horizon, seed=0) -> Trajectory:
     """Run one exact realization over [0, horizon] (h), 0 < horizon < inf.
 
@@ -215,16 +208,9 @@ def simulate(spec, initial_counts, horizon, seed=0) -> Trajectory:
     rng = np.random.default_rng(seed)
 
     n = sys.n_trans
-    inv_len, jam = 1.0 / sys.state_lengths[:, None], sys.x_jam[:, None]
-    # density per state and count up to x_jam (held past it); a full cell
-    # holds rho_jam where x_jam * (1 / l) rounds below it, so that its
-    # receiving rate is exactly 0
-    x = np.arange(sys.x_jam.max() + 1)
-    dens = np.where(x < jam, x * inv_len, np.maximum(jam * inv_len, sys.rho_jam[:, None]))
-    after = _link_rates(sys, dens)  # after[-1]: before the first event, every rate
+    after = _link_rates(sys)  # after[-1]: before the first event, every rate
     rates = _bounded_rates(sys)
-    along = _array_rates(rates, dens) if after is None else _table_rates(after[-1])
-    x_jam, dens, counts = sys.x_jam.tolist(), dens.tolist(), x0.tolist()
+    x_jam, dens, counts = sys.x_jam.tolist(), sys.count_density.tolist(), x0.tolist()
     rho = [r[c] for r, c in zip(dens, counts)]  # the whole-array path's densities
     src, dst = sys.src.tolist(), sys.dst.tolist()  # -1 at the boundary
     q = [0.0] * (n + 1)  # q[i + 1]: rate i, after a 0 that starts the running sums
@@ -277,7 +263,7 @@ def simulate(spec, initial_counts, horizon, seed=0) -> Trajectory:
             if counts[d] > x_jam[d]:
                 raise SimulationError(f"{sys.labels[k]}: state {d} above jam")
 
-    return Trajectory(sys, x0, times, trans, horizon, absorbed, along)
+    return Trajectory(sys, x0, times, trans, horizon, absorbed, after and after[-1])
 
 
 def estimate_throughput(traj: Trajectory, t_start, t_end) -> float:
@@ -315,13 +301,13 @@ def ensemble_moments(spec, initial_counts, horizon, sample_times,
         raise ValueError("covariance estimation needs at least 2 replications")
     sys = spec.system()
     sample_times = np.asarray(sample_times, dtype=float)
-    if np.any(sample_times < 0) or np.any(sample_times > horizon):
+    if not np.all((0 <= sample_times) & (sample_times <= horizon)):  # NaN too
         raise ValueError("sample times must lie within the horizon")
     samples = np.empty((replications, len(sample_times), sys.n_state))
     for r, stream in enumerate(np.random.SeedSequence(seed).spawn(replications)):
         traj = simulate(sys, initial_counts, horizon, stream)
         idx = np.searchsorted(traj.times, sample_times, side="right") - 1
-        samples[r] = traj.counts[idx] / sys.state_lengths
+        samples[r] = traj._densities(traj.counts[idx])
     mean = samples.mean(axis=0)
     sd = samples.std(axis=0, ddof=1)
     cov = np.empty((len(sample_times), sys.n_state, sys.n_state))

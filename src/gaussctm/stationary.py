@@ -72,7 +72,7 @@ class StationaryPoint:
 class DiscreteMarginal:
     cell: int  # 1-based
     cls: int  # 1-based
-    support: np.ndarray  # veh/km, {0, 1/l, ..., X_jam/l}
+    support: np.ndarray  # veh/km, the system's count_density of 0..x_jam
     probs: np.ndarray
 
     @property
@@ -249,37 +249,37 @@ def _state_index(sys, cell, cls):
 
 
 def cell_marginal(point: StationaryPoint, cell, cls=1) -> DiscreteMarginal:
-    """Discrete marginal of the vehicle density in one (cell, class):
-    the stationary Gaussian integrated over rectangles of half-width
-    1/(2*l) around each attainable density, renormalized."""
+    """Discrete marginal of the vehicle density in one (cell, class) on its
+    counts' `count_density`: the stationary Gaussian integrated over
+    rectangles of half-width 1/(2*l) around each x / l, renormalized."""
     from scipy.special import ndtr
     sys = point.system
     idx = _state_index(sys, cell, cls)
     ell = sys.state_lengths[idx]
     mu, var = point.mu[idx], point.V[idx, idx]
-    support = np.arange(sys.x_jam[idx] + 1) / ell
+    support = sys.count_density[idx, :sys.x_jam[idx] + 1]
     if var <= 1e-24:
         probs = np.zeros(len(support))
         probs[int(np.clip(round(mu * ell), 0, sys.x_jam[idx]))] = 1.0
         return DiscreteMarginal(cell, cls, support, probs)
     sd = np.sqrt(var)
-    hi = ndtr((support + 0.5 / ell - mu) / sd)
-    lo = ndtr((support - 0.5 / ell - mu) / sd)
+    x = np.arange(len(support)) / ell
+    hi = ndtr((x + 0.5 / ell - mu) / sd)
+    lo = ndtr((x - 0.5 / ell - mu) / sd)
     probs = np.maximum(hi - lo, 0.0)
     return DiscreteMarginal(cell, cls, support, probs / probs.sum())
 
 
 def joint_marginal(point: StationaryPoint, cells, cls=1):
-    """Joint rectangle marginal over up to 3 cells: returns a list of
-    support tuples and their probabilities.  Cost grows as the product
-    of the per-cell support sizes (capped at 1e6)."""
+    """Joint rectangle marginal over up to 3 cells: a list of support
+    tuples (the counts' `count_density`) and their probabilities.  Cost
+    grows as the product of the per-cell support sizes (capped at 1e6)."""
     if len(cells) > 3:
         raise ValueError("joint marginals are limited to 3 cells")
     sys = point.system
     idxs = [_state_index(sys, c, cls) for c in cells]
     ells = sys.state_lengths[idxs]
-    supports = [np.arange(sys.x_jam[i] + 1) / l for i, l in zip(idxs, ells)]
-    if np.prod([len(s) for s in supports]) > 1e6:
+    if np.prod(sys.x_jam[idxs] + 1) > 1e6:
         raise ValueError("joint support exceeds 1e6 points")
     mean = point.mu[idxs]
     cov = point.V[np.ix_(idxs, idxs)]
@@ -288,10 +288,11 @@ def joint_marginal(point: StationaryPoint, cells, cls=1):
     # QMC cdf that 3 cells take repeatable
     from scipy.stats import multivariate_normal
     mvn = multivariate_normal(mean=mean, cov=cov, allow_singular=True, seed=0)
-    pts = list(itertools.product(*supports))
+    counts = np.array(list(itertools.product(*(range(x + 1) for x in sys.x_jam[idxs]))))
+    pts = list(map(tuple, sys.count_density[idxs, counts]))
     h = 0.5 / ells
     # the probability of each cell of the support, one box per point
-    box = np.asarray(pts)
+    box = counts / ells
     probs = np.maximum(mvn.cdf(box + h, lower_limit=box - h), 0.0)
     return pts, probs / probs.sum()
 

@@ -54,9 +54,9 @@ def travel_time_tail(spec, state0, i, k, j, t, grid, x0_cov=None,
     j, for a vehicle entering at time t with the system started in
     state0 (densities; optional Gaussian covariance x0_cov).
 
-    `grid` holds the lags x in seconds, nonnegative ascending.  `j` may
-    also be a sequence of classes: one cumulative-moment solve then
-    serves them all, and a list of curves is returned."""
+    `grid` holds the lags x in seconds, finite, nonnegative ascending.
+    `j` may also be a sequence of classes: one cumulative-moment solve
+    then serves them all, and a list of curves is returned."""
     sys = spec.system()
     m = sys.m
     d = sys.n_cells
@@ -65,11 +65,11 @@ def travel_time_tail(spec, state0, i, k, j, t, grid, x0_cov=None,
         raise ValueError("cell span out of range")
     if not all(1 <= c <= m for c in classes):
         raise ValueError("class index out of range")
-    if t < 0:
-        raise ValueError("entry time t must be nonnegative")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"entry time t must be finite and nonnegative, not {t}")
     grid = np.asarray(grid, dtype=float)
-    if np.any(grid < 0) or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be nonnegative ascending")
+    if not (np.isfinite(grid).all() and np.all(grid >= 0) and np.all(np.diff(grid) > 0)):
+        raise ValueError("grid must be finite, nonnegative and ascending")
 
     ns = sys.n_state
     rho_t = np.asarray(state0, dtype=float)

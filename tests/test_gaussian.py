@@ -288,6 +288,12 @@ class TestCumulativeMoments:
             for grid in ([0.0, 0.1, 0.1], [0.0, 0.2, 0.1], [], 0.1):
                 with pytest.raises(ValueError):
                     solve(grid)
+            # a non-finite point failed in the step count, or not at all
+            for grid in ([0.0, np.nan], [np.nan], [0.0, np.inf], [-np.inf, 0.0]):
+                with pytest.raises(ValueError, match="time grid must be finite"):
+                    solve(grid)
+            with pytest.raises(ValueError, match="step"):
+                solve([0.0, 0.1], step=np.nan)
 
     def test_mean_counts_match_fluid_flow(self):
         # stationary free flow: every boundary carries lam, so the mean

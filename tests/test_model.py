@@ -142,6 +142,21 @@ class TestJamCount:
         assert sys.rates(np.array([20.0 / 0.1875]))[0] == 12.0
         assert sys.rates(np.array([21.0 / 0.1875]))[0] == 0.0
 
+    @pytest.mark.parametrize("ell, x_jam", [(0.5, 54), (15 / 108.0, 15),
+                                            (12.5 / 108.0, 13)])
+    def test_count_density(self, ell, x_jam):
+        # a whole jam count, one where x_jam * (1 / l) rounds just below
+        # rho_max, and a fractional one, where 13 / l would read 112.32
+        # veh/km: a full cell stands for rho_max exactly, every other
+        # count x for x * (1 / l)
+        sys = seg(d=2, ell=ell).system()
+        assert sys.x_jam.tolist() == [x_jam, x_jam]
+        dens = sys.count_density
+        assert dens.shape == (2, x_jam + 1)
+        assert dens[:, x_jam].tolist() == [108.0, 108.0]
+        below = np.arange(x_jam) * (1 / ell)
+        assert np.array_equal(dens[:, :x_jam], [below, below])
+
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(st.floats(0.01, 2.0),
                      st.integers(1, 216).map(lambda k: k / 108.0)))

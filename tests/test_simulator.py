@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from gaussctm.cli import example_network
 from gaussctm.flux import DaganzoFlux, DaganzoParams, TwoClassFlux, TwoClassParams
+from gaussctm.gaussian import solve_moments
 from gaussctm.model import SegmentSpec
 from gaussctm.simulator import (
     SimulationError,
@@ -96,8 +97,12 @@ class TestSimulate:
         traj = simulate(spec, [5, 5], 0.1, 3)
         np.testing.assert_array_equal(traj.state_at(0.0), [5, 5])
         np.testing.assert_allclose(traj.density_at(0.0), [10.0, 10.0])
-        with pytest.raises(ValueError):
-            traj.state_at(0.2)
+        # a NaN time passed both bounds and read the last state
+        for t in (0.2, -0.1, np.nan):
+            with pytest.raises(ValueError, match="horizon"):
+                traj.state_at(t)
+            with pytest.raises(ValueError, match="horizon"):
+                traj.density_at(t)
 
     def test_cumulative_counts_sum_to_events(self):
         spec = seg(d=3)
@@ -286,6 +291,21 @@ class TestDomain:
         simulate(sys, traj.counts[-1], 0.1, seed)
 
 
+    def test_full_fractional_jam_cells_restart_the_solvers(self):
+        # 12.5/108 km cells fill to x_jam = 13 vehicles, which read rho_jam
+        # = 108 veh/km (13 / l is 112.32, outside every solver's domain)
+        sys = seg(d=2, ell=12.5 / 108.0, lam=1800.0, nu=0.0).system()
+        traj = simulate(sys, [0, 0], 10.0, 0)
+        assert traj.absorbed and traj.counts[-1].tolist() == [13, 13]
+        rho = traj.density_at(10.0)
+        sys.check_domain(rho)
+        assert rho.tolist() == [108.0, 108.0]
+        tl = solve_moments(sys, rho, np.zeros((2, 2)), [0.0, 0.1])
+        np.testing.assert_array_equal(tl.rho[-1], rho)
+        em = ensemble_moments(sys, [13, 13], 0.1, [0.0, 0.1], 2)
+        assert em.mean.tolist() == [[108.0, 108.0]] * 2
+
+
 class TestThroughput:
     def test_zero_arrivals(self):
         spec = seg(lam=0.0)
@@ -329,8 +349,10 @@ class TestEnsemble:
 
     def test_sample_times_inside_horizon(self):
         spec = seg()
-        with pytest.raises(ValueError):
-            ensemble_moments(spec, [10], 1.0, [1.5], 4)
+        # a NaN sample time passed both bounds and averaged the last states
+        for times in ([1.5], [-0.5], [np.nan], [0.5, np.nan]):
+            with pytest.raises(ValueError, match="sample times"):
+                ensemble_moments(spec, [10], 1.0, times, 4)
 
     def test_free_flow_mean_density(self):
         spec = seg(d=5, lam=800.0)

@@ -176,6 +176,21 @@ class TestCellMarginal:
         assert m.support[1] == 2.0  # one vehicle on half a km
         assert len(m.support) == 55  # x_jam = rint(108 * 0.5) = 54
 
+    def test_full_cell_reads_jam_density(self):
+        # 12.5/108 km cells hold x_jam = 13 vehicles at jam, which read
+        # rho_max: at 13 / l = 112.32 the throughput integrand gave
+        # -69.1 veh/h, with mass 1.2e-3
+        pt = stationary_fixed_point(
+            SegmentSpec.uniform(5, 12.5 / 108.0, F, 2000.0, 1200.0))
+        m = cell_marginal(pt, 1)
+        assert m.support[-1] == 108.0
+        assert np.array_equal(m.support[:-1], np.arange(13) * (1 / (12.5 / 108.0)))
+        p = F.params
+        q0 = [min(2000.0, p.w * (p.rho_max - x), p.q_max) for x in m.support]
+        assert min(q0) >= 0.0
+        pts, _ = joint_marginal(pt, [1, 2])
+        assert pts[-1] == (108.0, 108.0)
+
     def test_index_validation(self):
         with pytest.raises(ValueError):
             cell_marginal(point_1d(10.0, 4.0), 2)

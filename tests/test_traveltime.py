@@ -172,11 +172,21 @@ class TestTail:
         with pytest.raises(ValueError):
             travel_time_tail(spec, np.full(3, 10.0), i=1, k=2, j=1,
                              t=0.0, grid=grid[::-1])
+        # a NaN point passed both checks and failed inside the solver
+        for bad in (np.nan, np.inf):
+            for at in (0, 5, -1):
+                g = grid.copy()
+                g[at] = bad
+                with pytest.raises(ValueError, match="grid must be finite"):
+                    travel_time_tail(spec, np.full(3, 10.0), i=1, k=2, j=1,
+                                     t=0.0, grid=g)
 
     def test_entry_time_must_be_nonnegative(self):
-        with pytest.raises(ValueError, match="entry time"):
-            travel_time_tail(self.spec(), np.full(3, 10.0), i=1, k=2, j=1,
-                             t=-0.5, grid=default_grid(400.0, 41))
+        # a NaN time passed t < 0 and was solved as t = 0
+        for t in (-0.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="entry time"):
+                travel_time_tail(self.spec(), np.full(3, 10.0), i=1, k=2, j=1,
+                                 t=t, grid=default_grid(400.0, 41))
 
     def test_initial_uncertainty_widens_the_distribution(self):
         spec = self.spec()
