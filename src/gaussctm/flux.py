@@ -35,8 +35,10 @@ class DaganzoParams:
     q_max: float
 
     def __post_init__(self):
-        if self.v_f <= 0 or self.w <= 0 or self.rho_max <= 0 or self.q_max <= 0:
-            raise ValueError("Daganzo parameters must be positive")
+        for name in ("v_f", "w", "rho_max", "q_max"):
+            if not getattr(self, name) > 0:  # NaN too
+                raise ValueError(f"Daganzo parameter {name} must be positive, "
+                                 f"not {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -54,11 +56,13 @@ class TwoClassParams:
     beta: float
 
     def __post_init__(self):
-        if not (self.v_f1 >= self.v_f2 > 0) or self.v_c <= 0:
-            raise ValueError("require v_f1 >= v_f2 > 0 and v_c > 0")
+        if not (self.v_f1 >= self.v_f2 > 0):
+            raise ValueError("require v_f1 >= v_f2 > 0")
+        if not self.v_c > 0:  # NaN too
+            raise ValueError(f"require v_c > 0, not {self.v_c}")
         if not (0 < self.L1 <= self.L2):
             raise ValueError("require 0 < L1 <= L2")
-        if self.N < 1:
+        if not self.N >= 1:
             raise ValueError("require N >= 1")
         if not (0 < self.beta < 1):
             raise ValueError("require beta in (0, 1)")
@@ -66,12 +70,14 @@ class TwoClassParams:
 
 def check_occupancy(amounts, jam, m, what="density"):
     """Raise ValueError unless `amounts` per (cell, class), cell-major
-    with m classes, are nonnegative and fill no cell past jam: the sum
-    over a cell's classes of amount / jam, `jam` being the jam density
-    (or count) of each class alone, is at most 1 to 1e-9.  This is the
+    with m classes, are finite, nonnegative and fill no cell past jam:
+    the sum over a cell's classes of amount / jam, `jam` being the jam
+    density (or count) of each class alone, is at most 1 to 1e-9.  This is the
     occupancy bound of the two-class diagram, whose jam densities are
     N / L_j, and rho <= rho_max for the triangular one."""
     a = np.asarray(amounts, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"non-finite {what}")
     if not np.all(a >= -1e-12):
         raise ValueError(f"negative {what}")
     if not np.all((a / jam).reshape(-1, m).sum(axis=1) <= 1.0 + 1e-9):

@@ -9,21 +9,20 @@ plus the cumulative transition counts Y (one coordinate per
 transition), counted from the start: their mean follows the fluid
 rates Q(rho) and their covariance C, zero at the start, obeys
 C' = A C + C A' + diag Q(rho) with A(rho) = dQ(rho) LH, the rate
-Jacobian composed with the count-to-density map.  From a fixed point of
+Jacobian composed with the count-to-density map.  The cumulative solve
+stores P C P' for the rows of a weight matrix P (the travel-time tail
+passes one row per class; all of Y by default).  From a fixed point of
 the fluid drift on a uniform grid, rho stays put and these equations
-are time-invariant: they then take one exact step per grid interval,
+are time-invariant: each grid interval is then one exact step,
 C <- E C E' + W with E = exp(A h) and the noise integral W from Van
-Loan's block exponential (1978), in place of RK4.  A caller that reads
-only the variances w'Cw of a few fixed weight rows w (the travel-time
-tail reads one per class) passes them as `weights`: the solve then
-stores those quadratic forms instead of C.  On the exact path it never
-forms C at all: C_k = sum_{i<k} E^i W E'^i, so one vector recursion
-v <- E'v per row gives w'C_k w = sum_{i<k} v_i'W v_i.  Every solver
-covers each interval of the caller's increasing `time_grid` (taken
-relative to its first point) with equal RK4 steps of at most `step`,
-and stores results at the grid points only: cross-time covariances and
-the fundamental solution are computed on demand by one forward
-propagator G' = G A(rho)^T along the solvers' own RK4 steps.
+Loan's block exponential (1978), in place of RK4, and C is never
+formed: C_k = sum_{i<k} E^i W E'^i, so one vector recursion v <- v E
+per row of P gives its entries.  Every solver covers each interval of
+the caller's increasing `time_grid` (taken relative to its first
+point) with equal RK4 steps of at most `step`, and stores results at
+the grid points only: cross-time covariances of the densities and the
+fundamental solution are computed on demand by one forward propagator
+G' = G dF(rho)^T along `solve_moments`' own RK4 steps.
 """
 
 from __future__ import annotations
@@ -93,17 +92,6 @@ def _step(sys, deriv, state, h, halvings=10):
     mid, first = _step(sys, deriv, state, 0.5 * h, halvings - 1)
     end, second = _step(sys, deriv, mid, 0.5 * h, halvings - 1)
     return end, first + second
-
-
-def _propagate(timeline, a, b, G, jac):
-    """G at grid point b >= a of G' = G jac(rho)^T from G at grid point a,
-    re-running the timeline's RK4 substeps from rho[a], so that the
-    linearization points are those of its solve."""
-    sys = timeline.system
-    state = (np.array(timeline.rho[a], dtype=float), np.array(G, dtype=float))
-    for h in (h for k in range(a, b) for h in timeline.substeps[k]):
-        state = _rk4(sys, lambda r, g: (sys.drift(r), g @ jac(r).T), state, h)
-    return state[1]
 
 
 class GaussianTimeline:
@@ -198,11 +186,18 @@ def solve_moments(spec, rho0, V0, time_grid, step=1e-3) -> GaussianTimeline:
 
 
 def _forward(timeline: GaussianTimeline, s, t, start):
-    """G(t) of G' = G dF(rho)^T from G(s) = start(index of s), s <= t."""
+    """G(t) of G' = G dF(rho)^T from G(s) = start(index of s), s <= t,
+    re-running the timeline's RK4 substeps from rho(s), so that the
+    linearization points are those of its solve."""
     if s > t:
         raise ValueError("need s <= t")
     ks, kt = timeline.index_of(s), timeline.index_of(t)
-    return _propagate(timeline, ks, kt, start(ks), timeline.system.drift_jacobian)
+    sys = timeline.system
+    state = (np.array(timeline.rho[ks], dtype=float), np.array(start(ks), dtype=float))
+    for h in (h for k in range(ks, kt) for h in timeline.substeps[k]):
+        state = _rk4(sys, lambda r, g: (sys.drift(r), g @ sys.drift_jacobian(r).T),
+                     state, h)
+    return state[1]
 
 
 def cross_covariance(timeline: GaussianTimeline, s, t):
@@ -216,11 +211,6 @@ def fundamental_solution(timeline: GaussianTimeline, s, t):
     """Phi(t, s) for grid points s <= t: the solution of
     Phi' = dF(rho) Phi with Phi(s, s) = I, propagated on demand."""
     return _forward(timeline, s, t, lambda k: np.eye(timeline.system.n_state)).T
-
-
-def _count_jacobian(sys):
-    """A(rho) = dQ(rho) LH of the linearized cumulative counts Y' = A Y."""
-    return lambda r: sys.rate_jacobian(r) @ sys.LH
 
 
 def _uniform_step(times):
@@ -251,71 +241,59 @@ def _exact_step(A, N, h):
     return E, 0.5 * (W + W.T)
 
 
-def _exact_covariances(E, W, n):
-    """C at n grid points of C <- E C E' + W from C = 0, each checked PSD."""
-    covs = np.zeros((n,) + W.shape)
-    C = covs[0]
-    for g in range(1, n):
-        C = E @ C @ E.T + W
-        C = 0.5 * (C + C.T)
-        if not _psd(C):
-            raise FloatingPointError(f"indefinite covariance at exact step {g - 1}")
-        covs[g] = C
-    return covs
-
-
-def _exact_variances(E, W, P, n):
-    """w'C_g w at n grid points of C_g <- E C_{g-1} E' + W from C_0 = 0,
-    for each row w of P, without forming C_g: with v_g = E'^g w it is
-    sum_{i<g} v_i'W v_i.  W is checked once; a variance below
-    -1e-9 max(its scale, 1), the scale being what its terms could reach
-    from a PSD W, is reported."""
+def _exact_covariances(E, W, P, n):
+    """P C_g P' at n grid points of C_g <- E C_{g-1} E' + W from C_0 = 0,
+    without forming C_g: with the row vectors v_{c,i} = w_c E^i of each
+    row w_c of P, entry (a, b) is sum_{i<g} v_{a,i} W v_{b,i}'.  Each row
+    advances its own vectors, and entries a <= b are computed and
+    mirrored, so a variance does not depend on the rows beside it and
+    each P C_g P' is symmetric bit for bit.  W is checked once; a
+    variance below -1e-9 max(its scale, 1), the scale being what its
+    terms could reach from a PSD W, is reported."""
     if not _psd(W):
         raise FloatingPointError("indefinite noise integral of the exact step")
-    var = np.zeros((n, len(P)))
+    v = np.empty((len(P), n - 1, P.shape[1]))
     for c, w in enumerate(P):
-        v = np.empty((n - 1, len(w)))
         for g in range(n - 1):
-            v[g] = w if g == 0 else v[g - 1] @ E
-        var[1:, c] = np.cumsum(((v @ W) * v).sum(axis=1))
-        scale = np.cumsum((v * v).sum(axis=1)) * np.trace(W)
-        bad = ~(var[1:, c] >= -1e-9 * np.maximum(scale, 1.0))
+            v[c, g] = w if g == 0 else v[c, g - 1] @ E
+    cov = np.zeros((n, len(P), len(P)))
+    for a in range(len(P)):
+        vW = v[a] @ W
+        for b in range(a, len(P)):
+            cov[1:, a, b] = cov[1:, b, a] = np.cumsum((vW * v[b]).sum(axis=1))
+        scale = np.cumsum((v[a] * v[a]).sum(axis=1)) * np.trace(W)
+        bad = ~(cov[1:, a, a] >= -1e-9 * np.maximum(scale, 1.0))
         if bad.any():
             raise FloatingPointError(
                 f"negative projected variance at exact step {np.argmax(bad)}")
-    return var
+    return cov
+
+
+def _project(P, C):
+    """P C P' entry by entry from (w_a C) w_b, a <= b, mirrored: a
+    variance does not depend on the rows beside it."""
+    out = np.empty((len(P), len(P)))
+    for a, wC in enumerate(w @ C for w in P):
+        for b in range(a, len(P)):
+            out[a, b] = out[b, a] = wC @ P[b]
+    return out
 
 
 class CumulativeTimeline:
     """Gaussian moments of the cumulative counts Y on a declared grid.
 
-    `cov[k]` is the covariance of Y at grid point k, `rho[k]` the fluid
-    density there and `substeps[k]` the RK4 steps taken from there to
-    k + 1, from which `cross` propagates covariances across grid points
-    on demand.  A timeline solved with `weights` holds instead
-    `var[k, c]` = w_c' cov[k] w_c for each weight row w_c, with `cov`,
-    `rho` and `substeps` None, and cannot give `cross`.  `x0_mean` holds
-    the initial counts per (cell, class)."""
+    `y_mean[k]` is the mean of Y at grid point k and `cov[k]` = P C P'
+    the covariance there of the rows of P, the solve's `weights` (all
+    of Y, so C itself, by default).  `x0_mean` holds the initial counts
+    per (cell, class)."""
 
-    def __init__(self, system, times, x0_mean, y_mean, cov, rho, substeps,
-                 var=None):
+    def __init__(self, system, times, x0_mean, y_mean, cov):
         self.system = system
         self.times = times
         self.x0_mean = x0_mean  # vehicles per (cell, class)
         self.y_mean = y_mean  # (n_grid, n_trans)
-        self.cov = cov  # (n_grid, n_trans, n_trans), or None with `var`
-        self.var = var  # (n_grid, n_weights), or None
-        self.rho = rho  # (n_grid, n), or None with `var`
-        self.substeps = substeps
+        self.cov = cov  # (n_grid, p, p)
         self.props = []  # never stored; read only by perfbench/tracer.py
-
-    def cross(self, a, b):
-        """Cov(Y(t_a), Y(t_b)) for grid indices a <= b."""
-        if self.cov is None:
-            raise ValueError("cross needs the covariances: solve without weights")
-        if a > b:
-            raise ValueError("need a <= b")
-        return _propagate(self, a, b, self.cov[a], _count_jacobian(self.system))
 
 
 def solve_cumulative_moments(spec, rho0, time_grid, *, step=1e-3,
@@ -324,63 +302,43 @@ def solve_cumulative_moments(spec, rho0, time_grid, *, step=1e-3,
     (sorted, starting at the evaluation time, taken as relative 0),
     from Y = 0 with zero covariance.
 
-    If rho0 is at rest (`stationary.is_at_rest`) and the grid uniform to
-    1e-9 relative, each grid interval is one exact step of the then
-    time-invariant moment equations; otherwise RK4 steps of at most
-    `step` cover each interval.
-
-    `weights`, a (p, n_trans) array, asks for the variances w'Cw of its
-    rows only: the timeline then holds `var` of shape (n_grid, p) and no
-    `cov`.  The RK4 path still propagates C but keeps only these forms;
-    the exact path propagates one vector v <- E'v per row instead of C,
-    O(p K^2) per grid point against O(K^3) and a Cholesky."""
+    `weights`, a (p, n_trans) array P, selects the rows whose covariance
+    P C P' the timeline stores as `cov` (n_grid, p, p); None stands for
+    the identity, so that `cov` holds C.  If rho0 is at rest
+    (`stationary.is_at_rest`) and the grid uniform to 1e-9 relative,
+    each grid interval is one exact step of the then time-invariant
+    moment equations, in O(p K^2) per grid point through one vector
+    recursion per row (`_exact_covariances`); otherwise RK4 steps of at
+    most `step` cover each interval, propagating C and storing P C P'."""
     sys = spec.system()
     sys.check_domain(rho0)
     times = _grid(time_grid, step)
-    ns, K = sys.n_state, sys.n_trans
-    P = None if weights is None else np.asarray(weights, dtype=float)
-    if P is not None and (P.ndim != 2 or P.shape[1] != K):
+    K = sys.n_trans
+    P = np.eye(K) if weights is None else np.asarray(weights, dtype=float)
+    if P.ndim != 2 or P.shape[1] != K:
         raise ValueError(f"weights must have shape (p, {K})")
 
     rho = np.asarray(rho0, dtype=float)
     ybar = np.zeros(K)
-    C = np.zeros((K, K))
-    A_of = _count_jacobian(sys)
 
     def deriv(r, y, c):
         Q = sys.rates(r)
-        AC = A_of(r) @ c  # C is symmetric, so C A' = (A C)'
+        AC = sys.rate_jacobian(r) @ sys.LH @ c  # C is symmetric, so C A' = (A C)'
         dC = AC + AC.T
         dC.reshape(-1)[::K + 1] += Q
         return sys.LH @ Q, Q, dC
 
     h = _uniform_step(times)
-    rhos = covs = var = substeps = None
     if h is not None and is_at_rest(sys, rho):
         # rho stays put, so Y' = A Y + noise is time-invariant: each grid
-        # interval is the same exact step.  `substeps` records the RK4
-        # steps along which `cross` propagates, as on the RK4 path.
+        # interval is the same exact step
         Q = sys.rates(rho)
-        E, W = _exact_step(A_of(rho), np.diag(Q), h)
-        y_means = np.empty((len(times), K))
-        y_means[0] = ybar
-        for g in range(len(times) - 1):
-            ybar = ybar + Q * h
-            y_means[g + 1] = ybar
-        if P is None:
-            rhos = np.full((len(times), ns), rho)
-            covs = _exact_covariances(E, W, len(times))
-            substeps = [_steps(h, step) for _ in range(len(times) - 1)]
-        else:
-            var = _exact_variances(E, W, P, len(times))
-    elif P is None:
-        (rhos, y_means, covs), substeps = _march(
-            lambda s, h: _step(sys, deriv, s, h), (rho, ybar, C), times, step)
+        E, W = _exact_step(sys.rate_jacobian(rho) @ sys.LH, np.diag(Q), h)
+        y_means = np.cumsum(np.vstack([ybar, np.tile(Q * h, (len(times) - 1, 1))]),
+                            axis=0)
+        covs = _exact_covariances(E, W, P, len(times))
     else:
-        # one row at a time, so that a row's variance does not depend on
-        # the rows beside it
-        (y_means, var), _ = _march(
-            lambda s, h: _step(sys, deriv, s, h), (rho, ybar, C), times, step,
-            record=lambda s: (s[1], np.array([w @ s[2] @ w for w in P])))
-    return CumulativeTimeline(sys, times, sys.state_lengths * rho, y_means,
-                              covs, rhos, substeps, var)
+        (y_means, covs), _ = _march(
+            lambda s, h: _step(sys, deriv, s, h), (rho, ybar, np.zeros((K, K))),
+            times, step, record=lambda s: (s[1], _project(P, s[2])))
+    return CumulativeTimeline(sys, times, sys.state_lengths * rho, y_means, covs)

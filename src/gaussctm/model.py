@@ -176,18 +176,20 @@ class SegmentSpec:
             raise ValueError("need at least one cell")
         if len(self.lengths) != self.d:
             raise ValueError("lengths must have one entry per cell")
-        if any(l <= 0 for l in self.lengths):
-            raise ValueError("cell lengths must be positive")
+        if not all(l > 0 for l in self.lengths):  # NaN too
+            raise ValueError(f"cell lengths must be positive, not {self.lengths}")
         if len(self.lam) != self.flux.m or len(self.nu) != self.flux.m:
             raise ValueError("lam/nu must have one entry per class")
-        if any(x < 0 for x in self.lam) or any(x < 0 for x in self.nu):
-            raise ValueError("boundary rates must be nonnegative")
         if isinstance(self.flux, TwoClassFlux):
             # an infinite demand has no class shares: inf / inf in the kernel
             for j, x in enumerate(self.lam, 1):
                 if not np.isfinite(x):
                     raise ValueError(f"arrival bound of class {j} must be "
                                      f"finite for a two-class flux, not {x}")
+        for name in ("lam", "nu"):
+            if not all(x >= 0 for x in getattr(self, name)):  # NaN too
+                raise ValueError(f"boundary rates {name} must be nonnegative, "
+                                 f"not {getattr(self, name)}")
 
     @staticmethod
     def uniform(d, cell_length, flux, lam, nu) -> "SegmentSpec":
@@ -264,6 +266,9 @@ class NetworkSpec:
             if not isinstance(r.flux, DaganzoFlux):
                 raise NetworkConfigError(f"road {r.name}: network assembly "
                                          "supports single-class Daganzo roads only")
+            if not r.cell_length > 0:  # NaN too
+                raise NetworkConfigError(f"road {r.name}: cell length must be "
+                                         f"positive, not {r.cell_length}")
         known = set(names)
         junction_cells = set()
         for dv in self.diverges:
@@ -286,7 +291,10 @@ class NetworkSpec:
             junction_cells.update((u, "last") for u, _ in mg.upstreams)
         for kind, end, ends in (("arrival", "first", self.arrivals),
                                 ("departure", "last", self.departures)):
-            for road, _ in ends:
+            for road, bound in ends:
+                if not bound >= 0:  # NaN too
+                    raise NetworkConfigError(f"{kind} bound of {road} must be "
+                                             f"nonnegative, not {bound}")
                 if (road, end) in junction_cells:
                     raise NetworkConfigError(
                         f"{kind} cell of {road} also participates in a junction")

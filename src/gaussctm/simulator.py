@@ -299,6 +299,8 @@ def ensemble_moments(spec, initial_counts, horizon, sample_times,
     draws from stream r of `SeedSequence(seed).spawn(replications)`."""
     if replications < 2:
         raise ValueError("covariance estimation needs at least 2 replications")
+    if not 0 < horizon < np.inf:  # before the sample times, which it bounds
+        raise ValueError("horizon must be positive and finite")
     sys = spec.system()
     sample_times = np.asarray(sample_times, dtype=float)
     if not np.all((0 <= sample_times) & (sample_times <= horizon)):  # NaN too

@@ -91,7 +91,7 @@ def travel_time_tail(spec, state0, i, k, j, t, grid, x0_cov=None,
     curves = []
     for c, (w_x, w_y, jc) in enumerate(zip(ahead, outflow, classes)):
         mean = cum.y_mean[offset:] @ w_y + w_x @ cum.x0_mean
-        var = cum.var[offset:, c] + w_x @ counts_cov @ w_x
+        var = cum.cov[offset:, c, c] + w_x @ counts_cov @ w_x
         curves.append(TailCurve(i, k, jc, t, grid, _tail(mean, var)))
     return curves[0] if np.isscalar(j) else curves
 

@@ -24,6 +24,12 @@ class TestParams:
             DaganzoParams(v_f=0.0, w=16.0, rho_max=108.0, q_max=1800.0)
         with pytest.raises(ValueError):
             DaganzoParams(v_f=80.0, w=16.0, rho_max=108.0, q_max=-1.0)
+        # every check must fail NaN as well, and names its field
+        kw = dict(v_f=80.0, w=16.0, rho_max=108.0, q_max=1800.0)
+        for field in kw:
+            for bad in (np.nan, -1.0):
+                with pytest.raises(ValueError, match=f"parameter {field} must be positive"):
+                    DaganzoParams(**{**kw, field: bad})
 
     def test_two_class_invariants(self):
         with pytest.raises(ValueError):
@@ -35,6 +41,10 @@ class TestParams:
         with pytest.raises(ValueError):
             TwoClassParams(v_f1=108.0, v_f2=79.2, v_c=61.2, L1=0.0065,
                            L2=0.0165, N=3, beta=1.5)
+        for v_c in (np.nan, 0.0):
+            with pytest.raises(ValueError, match="v_c > 0"):
+                TwoClassParams(v_f1=108.0, v_f2=79.2, v_c=v_c, L1=0.0065,
+                               L2=0.0165, N=3, beta=0.25)
 
 
 class TestDaganzoSending:
@@ -52,6 +62,10 @@ class TestDaganzoSending:
             ONE_CELL.check_domain([-1.0])
         with pytest.raises(ValueError):
             ONE_CELL.check_domain([109.0])
+        # a NaN density is non-finite, not negative
+        for rho in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite density"):
+                ONE_CELL.check_domain([rho])
 
     @given(st.floats(0.0, 108.0), st.floats(0.0, 108.0))
     def test_nondecreasing(self, a, b):
@@ -164,6 +178,8 @@ class TestTwoClassFlux:
     def test_occupancy_domain_error(self):
         with pytest.raises(ValueError):
             ONE_CELL_TC.check_domain([2 * TC.N / TC.L1, 0.0])
+        with pytest.raises(ValueError, match="non-finite density"):
+            ONE_CELL_TC.check_domain([np.nan, 1.0])
 
     def test_truck_speed_never_exceeds_free_flow(self):
         rng = np.random.default_rng(1)

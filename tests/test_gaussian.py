@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import expm
 
 from gaussctm import gaussian
 from gaussctm.cli import example_network
@@ -247,39 +246,6 @@ class TestCumulativeMoments:
         np.testing.assert_array_equal(ct.y_mean[0], 0.0)
         np.testing.assert_array_equal(ct.cov[0], 0.0)
 
-    def test_cross_consistency(self):
-        spec = SegmentSpec.uniform(2, 1.0, F, 800.0, 1800.0)
-        ct = solve_cumulative_moments(spec, np.full(2, 10.0),
-                                      [0.0, 0.05, 0.1])
-        np.testing.assert_allclose(ct.cross(1, 1), ct.cov[1])
-        with pytest.raises(ValueError):
-            ct.cross(2, 1)
-
-    def test_cross_pure_poisson(self):
-        # Y_0 is a Poisson process of rate lam: Cov(Y(s), Y(t)) = lam s
-        p = DaganzoParams(v_f=1e-9, w=1e9, rho_max=1e9, q_max=1e9)
-        spec = SegmentSpec.uniform(1, 1.0, DaganzoFlux(p), 500.0, 0.0)
-        ct = solve_cumulative_moments(spec, np.zeros(1), [0.0, 0.3, 0.7, 1.0],
-                                      step=1e-2)
-        for a, b in ((1, 2), (1, 3), (0, 3), (2, 3)):
-            np.testing.assert_allclose(ct.cross(a, b)[0, 0],
-                                       500.0 * ct.times[a], rtol=1e-9, atol=1e-9)
-
-    def test_cross_follows_the_count_jacobian_at_rest(self):
-        # at a fixed point A = dQ LH is constant, so
-        # Cov(Y(t_a), Y(t_b)) = C(t_a) exp(A (t_b - t_a))', on a congested
-        # segment whose A couples every count
-        spec = SegmentSpec.uniform(3, 0.5, F, 1400.0, 1200.0)
-        fp = stationary_fixed_point(spec)
-        ct = solve_cumulative_moments(spec, fp.mu, [0.0, 0.02, 0.04, 0.06],
-                                      step=1e-4)
-        sys = spec.system()
-        A = sys.rate_jacobian(fp.mu) @ sys.LH
-        assert np.count_nonzero(A) > 4
-        G = ct.cross(1, 3)
-        want = ct.cov[1] @ expm(A * (ct.times[3] - ct.times[1])).T
-        np.testing.assert_allclose(G, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
-
     def test_grid_validation(self):
         spec = SegmentSpec.uniform(2, 1.0, F, 800.0, 1800.0)
         with pytest.raises(ValueError):
@@ -473,8 +439,9 @@ class TestExactSteps:
         SegmentSpec.uniform(3, 0.5, TC, (1000.0, 250.0), (900.0, 100.0)),
     ], ids=["daganzo", "two-class"])
     def test_match_rk4_from_fixed_points(self, spec, projected, exact_steps):
-        # the covariances, or the variances of the travel-time rows and a
-        # dense row (`weights`), against RK4 on a grid that is not uniform
+        # the covariances of all of Y, or of the travel-time rows and a
+        # dense row (`weights`), against RK4 on a grid that is not uniform;
+        # each exact P C P' is symmetric PSD
         sys = spec.system()
         rows = [_weights(sys, 1, 2, j)[1] for j in range(1, sys.m + 1)]
         rows.append(np.random.default_rng(3).standard_normal(sys.n_trans))
@@ -488,10 +455,12 @@ class TestExactSteps:
         assert len(exact_steps) == 1
         keep = np.delete(np.arange(len(rk4_grid)), 1)
         np.testing.assert_allclose(exact.y_mean, rk4.y_mean[keep], rtol=1e-7)
-        got, want = (exact.var, rk4.var) if projected else (exact.cov, rk4.cov)
-        assert (exact.cov is None) == projected
-        np.testing.assert_allclose(got, want[keep], rtol=1e-7,
-                                   atol=1e-7 * np.abs(want).max())
+        p = len(rows) if projected else sys.n_trans
+        assert exact.cov.shape == (len(grid), p, p)
+        np.testing.assert_allclose(exact.cov, rk4.cov[keep], rtol=1e-7,
+                                   atol=1e-7 * np.abs(rk4.cov).max())
+        for C in exact.cov:
+            assert_symmetric_psd(C)
 
     def test_long_interval(self, exact_steps):
         # one 0.25 h step: W comes from 2^k doublings of a short Van Loan
@@ -507,19 +476,6 @@ class TestExactSteps:
         np.testing.assert_allclose(exact.cov[-1][0, 0], 200.0, rtol=1e-9)
         assert np.trace(exact.cov[-1]) < 1e3
 
-    def test_cross_over_a_long_interval(self):
-        # cross re-runs RK4 steps of at most `step` across each exact
-        # 0.25 h interval: C(0.25) exp(0.25 A)', and for the Poisson
-        # arrivals Cov(Y_0(0.25), Y_0(0.5)) = lam 0.25
-        spec = SegmentSpec.uniform(3, 1.0, F, 800.0, 1800.0)
-        ct = solve_cumulative_moments(spec, np.full(3, 10.0), [0.0, 0.25, 0.5])
-        sys = spec.system()
-        A = sys.rate_jacobian(np.full(3, 10.0)) @ sys.LH
-        G = ct.cross(1, 2)
-        np.testing.assert_allclose(G, ct.cov[1] @ expm(0.25 * A).T,
-                                   rtol=1e-7, atol=1e-7 * np.abs(G).max())
-        np.testing.assert_allclose(G[0, 0], 200.0, rtol=1e-9)
-
     @pytest.mark.parametrize("path", ["exact", "rk4"])
     @pytest.mark.parametrize("alone", [True, False])
     @pytest.mark.parametrize("spec", [
@@ -528,9 +484,10 @@ class TestExactSteps:
     ], ids=["daganzo", "two-class"])
     def test_projected_variances_match_the_covariances(self, spec, alone,
                                                        path, exact_steps):
-        # the travel-time rows of every class, and a dense row; `alone`
-        # also solves each row by itself, which gives the same variances
-        # bit for bit: a row's variance does not depend on its neighbours
+        # P C P' for the travel-time rows of every class and a dense row;
+        # `alone` also solves each row by itself, which gives the same
+        # variances bit for bit: a row's variance does not depend on its
+        # neighbours
         sys = spec.system()
         rows = [_weights(sys, 1, 2, j)[1] for j in range(1, sys.m + 1)]
         rows.append(np.random.default_rng(5).standard_normal(sys.n_trans))
@@ -540,48 +497,47 @@ class TestExactSteps:
             grid = np.insert(grid, 1, 0.0005)  # not uniform
         full = solve_cumulative_moments(spec, fp.mu, grid)
         proj = solve_cumulative_moments(spec, fp.mu, grid, weights=rows)
-        # only the variances are stored: no C, no fluid path, no `cross`
-        assert proj.cov is None and proj.rho is None and proj.substeps is None
-        assert proj.var.shape == (len(grid), len(rows))
-        with pytest.raises(ValueError, match="without weights"):
-            proj.cross(0, 1)
+        # only the covariance of the rows is stored
+        assert proj.cov.shape == (len(grid), len(rows), len(rows))
         np.testing.assert_array_equal(proj.y_mean, full.y_mean)
-        want = np.array([[w @ C @ w for w in rows] for C in full.cov])
-        np.testing.assert_allclose(proj.var, want, rtol=1e-12)
+        P = np.array(rows)
+        want = P @ full.cov @ P.T
+        np.testing.assert_allclose(proj.cov, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
         if alone:
             for c, w in enumerate(rows):
                 one = solve_cumulative_moments(spec, fp.mu, grid, weights=[w])
-                np.testing.assert_array_equal(one.var[:, 0], proj.var[:, c])
+                np.testing.assert_array_equal(one.cov[:, 0, 0], proj.cov[:, c, c])
         solves = 2 + alone * len(rows)
         assert len(exact_steps) == (solves if path == "exact" else 0)
 
-    def test_cross_needs_the_covariances(self):
+    def test_weights_must_have_shape(self):
         spec = SegmentSpec.uniform(2, 1.0, F, 800.0, 1800.0)
-        ct = solve_cumulative_moments(spec, np.full(2, 10.0), [0.0, 0.05, 0.1],
-                                      weights=np.ones((1, 3)))
-        with pytest.raises(ValueError, match="without weights"):
-            ct.cross(0, 1)
         for bad in (np.ones(3), np.ones((1, 5))):
             with pytest.raises(ValueError, match="shape"):
                 solve_cumulative_moments(spec, np.full(2, 10.0), [0.0, 0.1],
                                          weights=bad)
 
     def test_indefinite_noise_integral_is_named(self, monkeypatch, exact_steps):
-        # one negative eigenvalue in W: the projected path checks W once,
-        # and, were that check passed, the projected variance itself
+        # one negative eigenvalue in W: the exact path checks W once, and,
+        # were that check passed, each projected variance itself, with
+        # weights or without (all of Y)
         def indefinite(A, N, h):
             E, W = exact_step(A, N, h)
             return E, W - 10.0 * np.trace(W) * np.eye(len(W))
         exact_step = gaussian._exact_step
         monkeypatch.setattr(gaussian, "_exact_step", indefinite)
         spec = SegmentSpec.uniform(3, 1.0, F, 800.0, 1800.0)
-        solve = lambda: solve_cumulative_moments(
-            spec, np.full(3, 10.0), [0.0, 0.01, 0.02], weights=np.eye(4)[[0]])
-        with pytest.raises(FloatingPointError, match="noise integral"):
-            solve()
+        solves = [lambda weights=weights: solve_cumulative_moments(
+            spec, np.full(3, 10.0), [0.0, 0.01, 0.02], weights=weights)
+                  for weights in (np.eye(4)[[0]], None)]
+        for solve in solves:
+            with pytest.raises(FloatingPointError, match="noise integral"):
+                solve()
         monkeypatch.setattr(gaussian, "_psd", lambda C: True)
-        with pytest.raises(FloatingPointError, match="projected variance"):
-            solve()
+        for solve in solves:
+            with pytest.raises(FloatingPointError, match="projected variance"):
+                solve()
 
     def test_a_start_off_rest_takes_rk4(self, exact_steps):
         spec = SegmentSpec.uniform(3, 1.0, F, 800.0, 1800.0)

@@ -66,6 +66,16 @@ class TestSegmentSpec:
             SegmentSpec.uniform(3, 1.0, F, -5.0, 1800.0)
         with pytest.raises(ValueError):
             SegmentSpec(3, (1.0, 1.0), F, (800.0,), (1800.0,))
+        # every check must fail NaN as well: a NaN length would give x_jam = -2**63
+        for ell in (np.nan, (1.0, np.nan)):
+            with pytest.raises(ValueError, match="cell lengths must be positive"):
+                SegmentSpec(2, np.broadcast_to(ell, 2), F, (800.0,), (1800.0,))
+        for lam, nu in ((np.nan, 1800.0), (800.0, np.nan)):
+            name = "lam" if np.isnan(lam) else "nu"
+            with pytest.raises(ValueError, match=f"rates {name} must be nonnegative"):
+                SegmentSpec.uniform(2, 1.0, F, lam, nu)
+        with pytest.raises(ValueError, match="rates nu must be nonnegative"):
+            SegmentSpec.uniform(2, 1.0, TC, (800.0, 200.0), (100.0, np.nan))
 
     @pytest.mark.parametrize("lam", [(np.inf, 100.0), (100.0, np.inf),
                                      (np.nan, 100.0)])
@@ -331,6 +341,21 @@ class TestNetworkValidation:
             NetworkSpec(roads=roads,
                         diverges=(Diverge("a", (("b", 0.5), ("c", 0.5))),),
                         arrivals=(("b", 800.0),))
+
+    @pytest.mark.parametrize("ell", [-1.0, 0.0, np.nan])
+    def test_road_length_must_be_positive(self, ell):
+        # a road of -1 km would have x_jam -108
+        f = {r: F for r in ("r1", "r2", "r3", "r4", "r5", "r6")}
+        with pytest.raises(NetworkConfigError, match="cell length must be positive"):
+            example_network(2, ell, f, 0.5, 0.75, 0.75, 0.5, 1800.0, 900.0)
+
+    @pytest.mark.parametrize("kind", ["arrival", "departure"])
+    @pytest.mark.parametrize("bound", [-5.0, np.nan])
+    def test_boundary_bounds_must_be_nonnegative(self, kind, bound):
+        f = {r: F for r in ("r1", "r2", "r3", "r4", "r5", "r6")}
+        lam, nu = (bound, 900.0) if kind == "arrival" else (1800.0, bound)
+        with pytest.raises(NetworkConfigError, match=f"{kind} bound of .* nonnegative"):
+            example_network(2, 1.0, f, 0.5, 0.75, 0.75, 0.5, lam, nu)
 
     def test_unknown_road(self):
         roads = (RoadSpec("a", 2, 1.0, F), RoadSpec("b", 2, 1.0, F))

@@ -34,6 +34,9 @@ class TestSimulate:
                 simulate(seg(), [10], horizon)
             with pytest.raises(ValueError, match="horizon"):
                 ensemble_moments(seg(), [10], horizon, [0.0], 2)
+        # a NaN horizon is named before the sample times it bounds
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            ensemble_moments(seg(), [10], np.nan, [0.5], 2)
 
     def test_seed_forms_give_one_stream(self):
         # an int, the SeedSequence of that int and a generator made from

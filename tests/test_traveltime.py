@@ -108,7 +108,7 @@ class TestTail:
             w_x = np.zeros(8)
             w_x[[2 + j - 1, 4 + j - 1]] = -1.0
             mean = cum.y_mean @ w_y + w_x @ (0.5 * rho)
-            var = cum.var[:, 0] + 0.25 * (w_x @ sigma @ w_x)
+            var = cum.cov[:, 0, 0] + 0.25 * (w_x @ sigma @ w_x)
             ref = np.minimum.accumulate(ndtr(-mean / np.sqrt(var)))
             assert curve.j == j and 0.0 < ref[-1] < ref[0]
             np.testing.assert_allclose(curve.values, ref, rtol=1e-12, atol=0)
